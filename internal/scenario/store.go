@@ -92,8 +92,47 @@ func (st *Store) Get(s Spec) (out *Outcome, ok bool, err error) {
 	return st.GetKey(key)
 }
 
-// GetKey looks a precomputed key up.
+// ValidKey reports whether key has the shape of a content address: 64
+// lowercase hex digits, the form Key produces. Anything else — a path
+// separator, "..", upper case, a short or long string — cannot name a
+// cell, so lookups reject it before it reaches the filesystem.
+func ValidKey(key string) bool {
+	if len(key) != sha256.Size*2 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// GetKey looks a precomputed key up: GetRaw plus one decode of the
+// outcome bytes.
 func (st *Store) GetKey(key string) (*Outcome, bool, error) {
+	raw, ok, err := st.GetRaw(key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	var out Outcome
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, false, fmt.Errorf("scenario: decoding store cell %s: %w", key, err)
+	}
+	return &out, true, nil
+}
+
+// GetRaw looks a precomputed key up and returns the stored outcome as
+// undecoded JSON, for callers that only forward it. The cell is checked
+// for syntax and format version with a shallow decode; the outcome's
+// maps and floats are never built. A cell of another format version, or
+// one without an outcome (absent or null), is a miss; a malformed key is
+// an error and never touches the filesystem.
+func (st *Store) GetRaw(key string) (json.RawMessage, bool, error) {
+	if !ValidKey(key) {
+		return nil, false, fmt.Errorf("scenario: malformed store key %q", key)
+	}
 	b, err := os.ReadFile(st.path(key))
 	if os.IsNotExist(err) {
 		return nil, false, nil
@@ -104,16 +143,19 @@ func (st *Store) GetKey(key string) (*Outcome, bool, error) {
 	// Decode only what a hit needs: the stored spec is provenance for
 	// humans and re-runs, not for the hot lookup path.
 	var entry struct {
-		Version int      `json:"version"`
-		Outcome *Outcome `json:"outcome"`
+		Version int             `json:"version"`
+		Outcome json.RawMessage `json:"outcome"`
 	}
 	if err := json.Unmarshal(b, &entry); err != nil {
 		return nil, false, fmt.Errorf("scenario: decoding store cell %s: %w", key, err)
 	}
-	if entry.Version != storeVersion {
-		// An old-format cell is a miss, not an error: the caller recomputes
-		// and Put overwrites it in the current format.
+	if entry.Version != storeVersion || len(entry.Outcome) == 0 || string(entry.Outcome) == "null" {
+		// An old-format or outcome-less cell is a miss, not an error: the
+		// caller recomputes and Put overwrites it in the current format.
 		return nil, false, nil
+	}
+	if entry.Outcome[0] != '{' {
+		return nil, false, fmt.Errorf("scenario: decoding store cell %s: outcome is not an object", key)
 	}
 	return entry.Outcome, true, nil
 }

@@ -52,6 +52,17 @@ type Fetcher interface {
 	Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error)
 }
 
+// RawGetter is the optional undecoded read hook: a backend that holds
+// encoded cells answers a hit with the outcome's JSON bytes, which the
+// HTTP layer splices into the response with no decode or re-encode. A
+// raw miss is not final — the storage module then takes the decoded
+// Get/Fetch path, which is where a tiered backend reads through.
+// Backends without the hook are served by that path plus one
+// json.Marshal.
+type RawGetter interface {
+	GetRaw(ctx context.Context, key string) (json.RawMessage, bool, error)
+}
+
 // StoreBackend serves an on-disk content-addressed scenario.Store.
 type StoreBackend struct {
 	st *scenario.Store
@@ -76,6 +87,11 @@ func (b *StoreBackend) Name() string { return "store:" + b.st.Dir() }
 // Get reads a cell by key.
 func (b *StoreBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool, error) {
 	return b.st.GetKey(key)
+}
+
+// GetRaw reads a cell's outcome bytes by key, undecoded.
+func (b *StoreBackend) GetRaw(_ context.Context, key string) (json.RawMessage, bool, error) {
+	return b.st.GetRaw(key)
 }
 
 // Put persists a cell (atomic temp-file + rename, see scenario.Store).

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -24,7 +25,8 @@ import (
 //	GET  /v1/scenarios        list stored cells + in-flight jobs
 //	                          (mirrors `store ls`).
 //	GET  /v1/scenarios/{key}  poll a key: job progress or the stored
-//	                          outcome; 404 for unknown keys.
+//	                          outcome; 404 for unknown and malformed
+//	                          keys (a key is 64 lowercase hex).
 //	GET  /v1/stats            queue/storage/engine accounting.
 //
 // Error responses carry the apiError envelope: a human-readable `error`
@@ -152,6 +154,29 @@ type StatsResponse struct {
 	SimRuns  int64 `json:"sim_runs"`
 }
 
+// rawJobStatus is JobStatus with the outcome as the stored JSON bytes.
+// Fields, order, tags and omitempty match JobStatus, and the encoder
+// compacts and HTML-escapes a RawMessage as it would the decoded
+// outcome, so a hit spliced from the store is byte-identical to the
+// same status encoded from a decoded Outcome.
+type rawJobStatus struct {
+	Key     string          `json:"key"`
+	State   string          `json:"state"`
+	Cached  bool            `json:"cached,omitempty"`
+	Error   string          `json:"error,omitempty"`
+	Outcome json.RawMessage `json:"outcome,omitempty"`
+}
+
+// writeStatus emits a job status; a store hit's raw outcome bytes are
+// spliced into the envelope instead of a decoded Outcome.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus, raw json.RawMessage) {
+	if raw == nil {
+		writeJSON(w, code, st)
+		return
+	}
+	writeJSON(w, code, rawJobStatus{Key: st.Key, State: st.State, Cached: st.Cached, Error: st.Error, Outcome: raw})
+}
+
 // writeJSON emits one response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -165,13 +190,18 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
 }
 
-// submitErr maps a queue submit error onto status + code.
+// submitErr maps a queue submit error onto status + code: a spec that
+// fails validation is the client's fault, a failing store read is not.
 func submitErr(w http.ResponseWriter, err error) {
-	if err == ErrStopped {
+	var se specError
+	switch {
+	case err == ErrStopped:
 		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
-		return
+	case errors.As(err, &se):
+		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
-	writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 }
 
 // handleSubmit is POST /v1/scenarios.
@@ -183,9 +213,13 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding spec: %v", err))
 		return
 	}
-	st, err := h.queue.Submit(r.Context(), spec)
+	st, raw, err := h.queue.submit(r.Context(), spec)
 	if err != nil {
 		submitErr(w, err)
+		return
+	}
+	if raw != nil {
+		writeStatus(w, http.StatusOK, st, raw)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" && st.State != StateDone {
@@ -244,7 +278,13 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 // handleGet is GET /v1/scenarios/{key}.
 func (h *HTTPServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	st, ok, err := h.queue.Status(r.Context(), key)
+	if !scenario.ValidKey(key) {
+		// Not a content address, so it names no cell here or on any
+		// tier: answer without touching storage or the remote.
+		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("unknown scenario key %q", key))
+		return
+	}
+	st, raw, ok, err := h.queue.status(r.Context(), key)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
@@ -254,14 +294,13 @@ func (h *HTTPServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		// code: the key may exist fleet-wide, this daemon just cannot see
 		// it right now. IsNotFound matches both.
 		code := CodeNotFound
-		if ss, serr := h.storage.Stats(r.Context()); serr == nil &&
-			ss.Tier != nil && ss.Tier.BreakerState != "closed" {
+		if h.storage.Degraded() {
 			code = CodeRemoteDegraded
 		}
 		writeError(w, http.StatusNotFound, code, fmt.Sprintf("unknown scenario key %q", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st, raw)
 }
 
 // handleList is GET /v1/scenarios.

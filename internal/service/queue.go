@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -187,37 +188,67 @@ func (q *Queue) shardOf(key string) int {
 	return int(v % uint64(q.shards))
 }
 
+// specError marks a submit error as the spec's fault (the API's 400),
+// as opposed to a storage failure (a 500). It keeps the wrapped
+// error's message.
+type specError struct{ error }
+
+func (e specError) Unwrap() error { return e.error }
+
+// decodeOutcome decodes the outcome bytes of a store hit.
+func decodeOutcome(key string, raw json.RawMessage) (*scenario.Outcome, error) {
+	var out scenario.Outcome
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, fmt.Errorf("queue: decoding outcome %s: %w", key, err)
+	}
+	return &out, nil
+}
+
 // Submit accepts a spec: validate, hash, answer from the store when the
 // cell exists, coalesce onto an in-flight job when one is already
 // queued or running (singleflight), otherwise enqueue on the key's
 // shard. The returned status is the submit-time snapshot; poll Status
-// (or wait on the HTTP API) for completion. The store check is a Fetch
+// (or wait on the HTTP API) for completion. The store check is a fetch
 // — on a tiered daemon a miss reads through to (and may be simulated
 // by) the shared remote tier, so the key's first simulation happens
 // once fleet-wide, wherever the singleflight that owns it runs.
 func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, error) {
-	if err := spec.Validate(); err != nil {
+	st, raw, err := q.submit(ctx, spec)
+	if err == nil && raw != nil {
+		st.Outcome, err = decodeOutcome(st.Key, raw)
+	}
+	if err != nil {
 		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// submit is Submit without the decode: a store hit returns the cell's
+// outcome bytes as raw and leaves the status's Outcome nil; any other
+// status carries no raw bytes.
+func (q *Queue) submit(ctx context.Context, spec scenario.Spec) (JobStatus, json.RawMessage, error) {
+	if err := spec.Validate(); err != nil {
+		return JobStatus{}, nil, specError{err}
 	}
 	spec.Workers = q.engineWorkers
 	key, err := scenario.Key(spec)
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, nil, specError{err}
 	}
 	q.addStat(&q.stats.submitted)
 
 	// Store first: a finished cell answers immediately, no job needed.
-	if out, ok, err := q.storage.Fetch(ctx, spec, key); err != nil {
-		return JobStatus{}, err
+	if raw, ok, err := q.storage.FetchRaw(ctx, spec, key); err != nil {
+		return JobStatus{}, nil, err
 	} else if ok {
 		q.addStat(&q.stats.cacheHits)
-		return JobStatus{Key: key, State: StateDone, Cached: true, Outcome: out}, nil
+		return JobStatus{Key: key, State: StateDone, Cached: true}, raw, nil
 	}
 
 	q.mu.Lock()
 	if !q.accept {
 		q.mu.Unlock()
-		return JobStatus{}, ErrStopped
+		return JobStatus{}, nil, ErrStopped
 	}
 	if j, ok := q.inflight[key]; ok {
 		// Singleflight: identical spec already queued or running —
@@ -228,7 +259,7 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 		if !failed {
 			q.mu.Unlock()
 			q.addStat(&q.stats.coalesced)
-			return j.snapshot(), nil
+			return j.snapshot(), nil, nil
 		}
 		delete(q.inflight, key)
 	}
@@ -239,7 +270,7 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 
 	q.queues[q.shardOf(key)] <- j
 	q.submitters.Done()
-	return j.snapshot(), nil
+	return j.snapshot(), nil, nil
 }
 
 // Status reports a key's progress: in-flight jobs first (including
@@ -247,20 +278,30 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 // is neither in flight nor stored (on a tiered daemon the lookup reads
 // through to the remote, so a leader-owned key polls as done here too).
 func (q *Queue) Status(ctx context.Context, key string) (JobStatus, bool, error) {
+	st, raw, ok, err := q.status(ctx, key)
+	if err == nil && raw != nil {
+		st.Outcome, err = decodeOutcome(key, raw)
+	}
+	if err != nil {
+		return JobStatus{}, false, err
+	}
+	return st, ok, nil
+}
+
+// status is Status without the decode: a stored key returns its outcome
+// bytes as raw, like submit.
+func (q *Queue) status(ctx context.Context, key string) (JobStatus, json.RawMessage, bool, error) {
 	q.mu.Lock()
 	j, inflight := q.inflight[key]
 	q.mu.Unlock()
 	if inflight {
-		return j.snapshot(), true, nil
+		return j.snapshot(), nil, true, nil
 	}
-	out, ok, err := q.storage.Get(ctx, key)
-	if err != nil {
-		return JobStatus{}, false, err
+	raw, ok, err := q.storage.GetRaw(ctx, key)
+	if err != nil || !ok {
+		return JobStatus{}, nil, false, err
 	}
-	if !ok {
-		return JobStatus{}, false, nil
-	}
-	return JobStatus{Key: key, State: StateDone, Cached: true, Outcome: out}, true, nil
+	return JobStatus{Key: key, State: StateDone, Cached: true}, raw, true, nil
 }
 
 // Wait blocks until the key's in-flight job completes, the context is
@@ -351,7 +392,7 @@ func (q *Queue) worker(jobs <-chan *job) {
 		// shared tier and may delegate the simulation to the remote —
 		// local engine work is the last resort. Workers run under the
 		// daemon's lifetime context, not any submitter's.
-		if out, ok, err := q.storage.Fetch(context.Background(), j.spec, j.key); err == nil && ok {
+		if out, ok := q.recheck(j); ok {
 			j.mu.Lock()
 			j.state = StateDone
 			j.cached = true
@@ -394,6 +435,18 @@ func (q *Queue) worker(jobs <-chan *job) {
 		delete(q.inflight, j.key)
 		q.mu.Unlock()
 	}
+}
+
+// recheck is the worker's store read before simulating (see worker): a
+// hit that does not decode is treated as a miss, so the job re-runs
+// and its Put overwrites the cell.
+func (q *Queue) recheck(j *job) (*scenario.Outcome, bool) {
+	raw, ok, err := q.storage.FetchRaw(context.Background(), j.spec, j.key)
+	if err != nil || !ok {
+		return nil, false
+	}
+	out, err := decodeOutcome(j.key, raw)
+	return out, err == nil
 }
 
 // addStat bumps one counter under the stats lock.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -226,6 +227,22 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 	}
 	r.count(func(st *TierStats) { st.RemoteHits++ })
 	return st.Outcome, true, nil
+}
+
+// GetRaw serves a local-tier hit as undecoded bytes, counted as a local
+// hit, when the local tier has the raw hook. Anything else reports a
+// miss, and the storage module falls back to Get/Fetch, which check the
+// local tier again and read through to the remote.
+func (r *RemoteBackend) GetRaw(ctx context.Context, key string) (json.RawMessage, bool, error) {
+	rg, ok := r.local.(RawGetter)
+	if !ok {
+		return nil, false, nil
+	}
+	raw, ok, err := rg.GetRaw(ctx, key)
+	if ok {
+		r.count(func(st *TierStats) { st.LocalHits++ })
+	}
+	return raw, ok, err
 }
 
 // Fetch resolves a miss with the spec in hand: local first, then a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -404,7 +405,9 @@ func TestDegradedReadCode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := c.Get(ctx, "no-such-key")
+	// A well-formed key: a malformed one is not_found before any tier
+	// is consulted (TestMalformedKeyNeverServed).
+	_, err := c.Get(ctx, strings.Repeat("0", 64))
 	se, ok := err.(*StatusError)
 	if !ok {
 		t.Fatalf("degraded miss error = %T (%v), want *StatusError", err, err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -61,7 +62,8 @@ type storageOp int
 
 const (
 	opGet storageOp = iota
-	opFetch
+	opGetRaw
+	opFetchRaw
 	opPut
 	opList
 	opLen
@@ -81,6 +83,7 @@ type storageReq struct {
 
 type storageResp struct {
 	out   *scenario.Outcome
+	raw   json.RawMessage
 	ok    bool
 	infos []scenario.CellInfo
 	n     int
@@ -157,13 +160,13 @@ func (s *Storage) serve() {
 				s.stats.Hits++
 			}
 			resp = storageResp{out: out, ok: ok, err: err}
-		case opFetch:
-			out, ok, err := s.fetch(ctx, req.spec, req.key)
+		case opGetRaw, opFetchRaw:
+			raw, ok, err := s.readRaw(ctx, req.op == opFetchRaw, req.spec, req.key)
 			s.stats.Gets++
 			if ok {
 				s.stats.Hits++
 			}
-			resp = storageResp{out: out, ok: ok, err: err}
+			resp = storageResp{raw: raw, ok: ok, err: err}
 		case opPut:
 			err := s.backend.Put(ctx, req.spec, req.out)
 			if err == nil {
@@ -188,14 +191,34 @@ func (s *Storage) serve() {
 	}
 }
 
-// fetch resolves a key with the spec in hand: tiered backends read
-// through (and may delegate the simulation to their remote); plain
-// backends degrade to Get.
-func (s *Storage) fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	if f, ok := s.backend.(Fetcher); ok {
-		return f.Fetch(ctx, spec, key)
+// readRaw resolves a key to undecoded outcome bytes: the backend's raw
+// hook first, then the decoded path re-encoded. With fetch set the
+// decoded path has the spec in hand, so tiered backends read through
+// (and may delegate the simulation to their remote); otherwise, and for
+// plain backends, it is Get. A hit without an outcome is a miss.
+func (s *Storage) readRaw(ctx context.Context, fetch bool, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
+	if rg, ok := s.backend.(RawGetter); ok {
+		raw, ok, err := rg.GetRaw(ctx, key)
+		if err != nil || ok {
+			return raw, ok, err
+		}
 	}
-	return s.backend.Get(ctx, key)
+	var out *scenario.Outcome
+	var ok bool
+	var err error
+	if f, tiered := s.backend.(Fetcher); fetch && tiered {
+		out, ok, err = f.Fetch(ctx, spec, key)
+	} else {
+		out, ok, err = s.backend.Get(ctx, key)
+	}
+	if err != nil || !ok || out == nil {
+		return nil, false, err
+	}
+	raw, err := json.Marshal(out)
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: encoding outcome %s: %w", key, err)
+	}
+	return raw, true, nil
 }
 
 // statsSnapshot copies the counters and attaches the tier split when the
@@ -258,12 +281,20 @@ func (s *Storage) Get(ctx context.Context, key string) (*scenario.Outcome, bool,
 	return resp.out, resp.ok, resp.err
 }
 
-// Fetch looks a key up with the spec available, letting a tiered
-// backend resolve the miss remotely (the queue's workers use this so a
-// miss costs the fleet one simulation, wherever it runs).
-func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	resp := s.call(storageReq{op: opFetch, ctx: ctx, spec: spec, key: key})
-	return resp.out, resp.ok, resp.err
+// GetRaw looks a content key up and returns the outcome as undecoded
+// JSON (see RawGetter).
+func (s *Storage) GetRaw(ctx context.Context, key string) (json.RawMessage, bool, error) {
+	resp := s.call(storageReq{op: opGetRaw, ctx: ctx, key: key})
+	return resp.raw, resp.ok, resp.err
+}
+
+// FetchRaw looks a key up with the spec available, letting a tiered
+// backend resolve the miss remotely (the queue uses this so a miss
+// costs the fleet one simulation, wherever it runs), and returns the
+// outcome as undecoded JSON.
+func (s *Storage) FetchRaw(ctx context.Context, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
+	resp := s.call(storageReq{op: opFetchRaw, ctx: ctx, spec: spec, key: key})
+	return resp.raw, resp.ok, resp.err
 }
 
 // Put persists an outcome and, when caps are configured, trims the
@@ -282,6 +313,16 @@ func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
 func (s *Storage) Len(ctx context.Context) (int, error) {
 	resp := s.call(storageReq{op: opLen, ctx: ctx})
 	return resp.n, resp.err
+}
+
+// Degraded reports whether a tiered backend's circuit breaker is outside
+// the closed state. It reads only the breaker — never the backend's
+// cells — and does not queue on the serving goroutine, so an error path
+// can ask it for free (TierStatter implementations lock their own
+// counters).
+func (s *Storage) Degraded() bool {
+	ts, ok := s.backend.(TierStatter)
+	return ok && ts.TierStats().BreakerState != breakerClosed.String()
 }
 
 // Stats snapshots the module's accounting.

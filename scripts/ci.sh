@@ -22,12 +22,19 @@ go run ./cmd/repolint
 go vet ./...
 go build ./...
 go test -race ./...
+
+# The benchmark is its own module (perfbench/go.mod), so ./... skips it;
+# vet, build and test it here so a break in the service API it compiles
+# against fails CI instead of the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 go test -run xxx -bench . -benchtime 1x -benchmem .
 
 # Zero-allocation contracts: the consolidated table (zeroalloc_test.go)
 # is built out of the -race run by its build tag (AllocsPerRun is
 # unreliable under the race detector), so assert it explicitly here.
 go test -run TestZeroAllocContracts .
+# The raw store hit's allocation bound, likewise built out of -race.
+go test -run TestStoreGetRawAllocs ./internal/scenario
 
 # Lockstep-vs-batch equivalence smoke: the lockstep engine must stay
 # bit-identical to RunBatch (and the fleet fixed point to its per-pass
@@ -217,7 +224,7 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# PR 9 baseline via benchjson -compare (the gate ratchets: each PR
+# PR 10 baseline via benchjson -compare (the gate ratchets: each PR
 # appends BENCH_PR<n>.json and the next gates against it). The
 # threshold is deliberately wide (60%): this 1-core shared container
 # drifts 15-35% between sessions on bit-identical hot paths (measured
@@ -226,4 +233,4 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # deterministic — are judged by the same factor against integer counts,
 # so any alloc creep on a 0-alloc path fails regardless.
 go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$store_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR9.json -threshold 0.60 < "$store_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR10.json -threshold 0.60 < "$store_dir/bench.out"
