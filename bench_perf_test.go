@@ -451,14 +451,14 @@ func lockstepBenchJobs(b *testing.B, n int) []sim.Job {
 	return jobs
 }
 
-// BenchmarkLockstepVsBatch compares one whole-batch pass under the two
-// engines at fleet-relevant batch sizes. The batch side rebuilds servers
-// and re-evaluates workload generators every op (RunBatch's contract);
-// the lockstep side re-steps one warm instance, the fleet fixed point's
-// steady state — precompiled demand schedules, reused servers, reused
-// recording buffers, zero allocations per pass at one worker. Results are
-// bit-identical between the two (asserted by the sim tests); this
-// benchmark measures what the reuse is worth.
+// BenchmarkLockstepVsBatch compares one whole-batch pass at
+// fleet-relevant batch sizes. The batch side builds a fresh server per job
+// and runs it through sim.Run, re-evaluating the workload generator every
+// tick; the lockstep side re-steps one warm instance, the fleet fixed
+// point's steady state — precompiled demand schedules, reused servers,
+// reused recording buffers, zero allocations per pass at one worker.
+// Results are bit-identical between the two (asserted by the sim tests);
+// this benchmark measures what the reuse is worth.
 func BenchmarkLockstepVsBatch(b *testing.B) {
 	for _, n := range []int{8, 64} {
 		b.Run("batch/"+unitName("servers", float64(n), ""), func(b *testing.B) {
@@ -466,8 +466,14 @@ func BenchmarkLockstepVsBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunBatch(jobs, sim.BatchOptions{Workers: 1}); err != nil {
-					b.Fatal(err)
+				for _, j := range jobs {
+					server, err := j.Server()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sim.Run(server, j.Config); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {

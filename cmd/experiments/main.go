@@ -3,7 +3,7 @@
 // figures, aligned text tables for Table III, and optional CSV dumps for
 // external plotting. Every subcommand routes through the unified
 // scenario layer (internal/scenario): it builds a declarative spec,
-// scenario.Run selects the fastest eligible engine, and the sweep
+// scenario.Run executes it on its kind's engine, and the sweep
 // subcommands can persist results in a content-addressed store so
 // repeated grids resume instead of recomputing.
 //

@@ -171,9 +171,9 @@ func table3RowsFromUnits(unitRows []scenario.Unit) []Table3Row {
 }
 
 // Table3 runs the five Table III solutions through the scenario runner
-// (one warm lockstep cohort, bit-identical to the historical RunBatch
-// implementation) and normalizes fan energy to the uncoordinated
-// baseline (row 1).
+// (one warm lockstep batch over the shared trace, bit-identical to
+// running each solution through sim.Run) and normalizes fan energy to the
+// uncoordinated baseline (row 1).
 func Table3(tc Table3Config) (*Table3Result, error) {
 	if tc.Duration <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive duration %v", tc.Duration)

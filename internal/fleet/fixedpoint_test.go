@@ -9,10 +9,27 @@ import (
 	"repro/internal/units"
 )
 
+// runEach runs every job on a fresh server through sim.Run: the engine
+// reference, independent of the lockstep batch under test.
+func runEach(t *testing.T, jobs []sim.Job) []*sim.Result {
+	t.Helper()
+	results := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		server, err := j.Server()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = sim.Run(server, j.Config); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results
+}
+
 // naiveRun reimplements the pre-lockstep relaxation loop — every pass
-// rebuilds every node (server, workload generator, policy) and runs a
-// fresh sim.RunBatch, recording only on the final pass — as the reference
-// the warm-instance rewrite must match bit for bit.
+// rebuilds every node (server, workload generator, policy) and runs each
+// one through sim.Run, recording only on the final pass — as the
+// reference the warm-instance rewrite must match bit for bit.
 func naiveRun(t *testing.T, c Config) *Result {
 	t.Helper()
 	if err := c.Validate(); err != nil {
@@ -65,11 +82,7 @@ func naiveRun(t *testing.T, c Config) *Result {
 				},
 			}
 		}
-		var err error
-		results, err = sim.RunBatch(jobs, sim.BatchOptions{Workers: c.Workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		results = runEach(t, jobs)
 		for i, r := range results {
 			meanPower[i] = units.Watt(float64(r.Metrics.CPUEnergy+r.Metrics.FanEnergy) / float64(c.Duration))
 		}

@@ -14,11 +14,11 @@ import (
 
 // Run executes a scenario: validate, dispatch to the kind's runner, and
 // return the normalized Outcome. Engine selection is the runner's job —
-// sim-kind scenarios advance through one warm sim.Lockstep instance when
-// every job shares the clock (always true for a spec-level horizon) and
-// fall back to sim.RunBatch otherwise; fleet scenarios resolve the shared
-// inlet field through fleet.Run; multicore scenarios use multicore.Run.
-// Results are bit-identical at any Workers value.
+// sim-kind scenarios (single, batch, lockstep) advance through one warm
+// sim.Lockstep instance, whose per-clock cohorts also take jobs on
+// different engine ticks; fleet scenarios resolve the shared inlet field
+// through fleet.Run; multicore scenarios use multicore.Run. Results are
+// bit-identical at any Workers value.
 func Run(s Spec) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -54,9 +54,9 @@ func ProbeRuns() int64 { return runsExecuted.Load() }
 func AddSimTicks(n int64) { simTicksRun.Add(n) }
 
 func init() {
-	RegisterKind(KindSingle, "one closed-loop run (sim.Run)", runSingle)
-	RegisterKind(KindBatch, "concurrent jobs, auto engine (lockstep or batch)", runSimBatch)
-	RegisterKind(KindLockstep, "concurrent jobs, lockstep engine asserted", runSimBatch)
+	RegisterKind(KindSingle, "one closed-loop run (lockstep engine)", runSimBatch)
+	RegisterKind(KindBatch, "concurrent jobs (lockstep engine)", runSimBatch)
+	RegisterKind(KindLockstep, "alias of batch", runSimBatch)
 	RegisterKind(KindFleet, "rack with shared inlet field (fleet.Run)", runFleet)
 	RegisterKind(KindFleetCoord, "rack under the global coordinator (fleet.RunCoordinated)", runFleetCoord)
 	RegisterKind(KindMulticore, "three-controller N-core run (multicore.Run)", runMulticore)
@@ -105,7 +105,7 @@ func serverFactory(cfg sim.Config, f *FaultSpec, v *VotingSpec, h *votingHandle)
 	}
 }
 
-// buildSimJobs materializes the spec's jobs for the batch engines. Jobs
+// buildSimJobs materializes the spec's jobs for the lockstep engine. Jobs
 // whose (workload ref, platform) pairs are identical share one generator
 // instance — generators are read-only during a run, and the sharing lets
 // the lockstep engine compile the demand schedule once per distinct trace
@@ -197,49 +197,16 @@ func simOutcome(kind string, jobs []sim.Job, polNames []string, results []*sim.R
 	return out
 }
 
-// runSingle executes a one-job scenario on the plain engine.
-func runSingle(s Spec) (*Outcome, error) {
-	jobs, polNames, err := s.buildSimJobs()
-	if err != nil {
-		return nil, err
-	}
-	server, err := jobs[0].Server()
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(server, jobs[0].Config)
-	if err != nil {
-		return nil, err
-	}
-	return simOutcome(s.Kind, jobs, polNames, []*sim.Result{res}), nil
-}
-
-// runSimBatch executes a multi-job scenario. KindBatch auto-selects the
-// engine through sim.RunLockstep (one warm lockstep instance when the
-// jobs share tick and duration — bit-identical to RunBatch — with a
-// RunBatch fallback otherwise); KindLockstep asserts lockstep eligibility
-// instead of falling back.
+// runSimBatch executes a single, batch or lockstep scenario: the jobs
+// run as one sim.Lockstep batch, each on its own platform's clock.
 func runSimBatch(s Spec) (*Outcome, error) {
 	jobs, polNames, err := s.buildSimJobs()
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.BatchOptions{Workers: s.Workers}
-	var results []*sim.Result
-	if s.Kind == KindLockstep {
-		ls, err := sim.NewLockstep(jobs, opts)
-		if err != nil {
-			return nil, err
-		}
-		results, err = ls.Run()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		results, err = sim.RunLockstep(jobs, opts)
-		if err != nil {
-			return nil, err
-		}
+	results, err := sim.RunLockstep(jobs, sim.BatchOptions{Workers: s.Workers})
+	if err != nil {
+		return nil, err
 	}
 	return simOutcome(s.Kind, jobs, polNames, results), nil
 }

@@ -1,9 +1,9 @@
 // Package scenario is the unified experiment surface of the repository:
 // one declarative Spec describes any simulation the other layers can run —
-// a single closed-loop server, a homogeneous batch, a lockstep cohort, a
-// rack with a shared inlet field, or the multicore three-controller
-// scenario — and Run executes it on the fastest eligible engine and
-// returns one normalized Outcome.
+// a single closed-loop server, a batch of independent servers, a rack
+// with a shared inlet field, or the multicore three-controller scenario —
+// and Run executes it on its kind's engine and returns one normalized
+// Outcome.
 //
 // A Spec is plain data: platform configurations are embedded verbatim
 // (sim.Config, fleet parameters), while workloads and policies are named
@@ -20,8 +20,8 @@
 //     by registering a kind runner, not by inventing another API.
 //
 // The legacy internal/experiments entry points remain as thin adapters
-// that build Specs and post-process Outcomes; their results are
-// bit-identical to the pre-scenario implementations (asserted by tests).
+// that build Specs and post-process Outcomes; the repository's golden
+// corpus pins their specs' keys and outcome digests.
 package scenario
 
 import (
@@ -36,14 +36,16 @@ import (
 // The built-in scenario kinds. Custom kinds (e.g. the Fig. 1 telemetry
 // probe) register their own runners via RegisterKind.
 const (
-	// KindSingle runs exactly one job on the plain engine (sim.Run).
+	// KindSingle runs exactly one job, as a one-lane sim.Lockstep batch.
 	KindSingle = "single"
-	// KindBatch runs the jobs concurrently, auto-selecting the engine:
-	// one warm sim.Lockstep instance when every job shares the clock
-	// (always true for spec-level Duration), sim.RunBatch otherwise.
+	// KindBatch runs the jobs concurrently as one warm sim.Lockstep
+	// batch. Jobs whose Config sets another engine tick run in their own
+	// clock cohort of the same batch.
 	KindBatch = "batch"
-	// KindLockstep is KindBatch with the lockstep engine asserted: the
-	// run fails instead of falling back when the jobs are heterogeneous.
+	// KindLockstep is an alias of KindBatch: same runner, same results.
+	// It stays a distinct kind string because the kind is part of the
+	// store identity hash and existing specs (the Table III builders)
+	// carry it.
 	KindLockstep = "lockstep"
 	// KindFleet runs a rack through fleet.Run (shared inlet field,
 	// recirculation fixed point).

@@ -218,6 +218,39 @@ func TestBatchKindsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLockstepKindMixedClocks: a lockstep spec whose jobs run on
+// different engine ticks runs (one clock cohort per tick) and matches the
+// same jobs as a batch spec, unit for unit.
+func TestLockstepKindMixedClocks(t *testing.T) {
+	slow := sim.Default()
+	slow.Tick = 2
+	mk := func(kind string) Spec {
+		s := cheapSpec(31)
+		s.Kind = kind
+		j := s.Jobs[0]
+		j.Name, j.Config = "slow", &slow
+		s.Jobs = append(s.Jobs, j)
+		return s
+	}
+	lock, err := Run(mk(KindLockstep))
+	if err != nil {
+		t.Fatalf("mixed-clock lockstep spec: %v", err)
+	}
+	batch, err := Run(mk(KindBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch.Units {
+		if got, want := SimMetrics(&lock.Units[i]), SimMetrics(&batch.Units[i]); got != want {
+			t.Errorf("unit %d: lockstep %+v != batch %+v", i, got, want)
+		}
+	}
+	fast, slowTicks := lock.Units[0].Metric(MetricTicks, 0), lock.Units[1].Metric(MetricTicks, 0)
+	if fast != 2*slowTicks {
+		t.Errorf("ticks: 1 s lane %v, 2 s lane %v; want a 2:1 ratio", fast, slowTicks)
+	}
+}
+
 // TestFleetGeneratedMatchesDirect pins the generated-rack runner to a
 // direct fleet.NewRack + fleet.Run with the same overrides.
 func TestFleetGeneratedMatchesDirect(t *testing.T) {

@@ -1,161 +1,9 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/units"
-	"repro/internal/workload"
 )
-
-// batchJobs builds n independent jobs at distinct operating points: each
-// holds a different fan speed over the noisy paper workload with its own
-// seed, so every result differs and any cross-job interference shows.
-func batchJobs(t testing.TB, n int) []Job {
-	t.Helper()
-	cfg := Default()
-	cfg.Ambient = 30
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		noisy, err := workload.NewNoisy(workload.PaperSquare(600), 0.04, cfg.Tick, int64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = Job{
-			Name:   fmt.Sprintf("hold-%d", i),
-			Server: Factory(cfg),
-			Config: RunConfig{
-				Duration: 900,
-				Workload: noisy,
-				Policy:   HoldPolicy{Fan: units.RPM(2000 + 500*i)},
-			},
-		}
-	}
-	return jobs
-}
-
-func TestRunBatchMatchesSequential(t *testing.T) {
-	jobs := batchJobs(t, 6)
-
-	// Sequential reference: fresh server per job, plain Run.
-	want := make([]Metrics, len(jobs))
-	for i, j := range jobs {
-		server, err := j.Server()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(server, j.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.Metrics
-	}
-
-	for _, workers := range []int{1, 2, 4, 0} {
-		results, err := RunBatch(batchJobs(t, 6), BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, res := range results {
-			if res == nil {
-				t.Fatalf("workers=%d: nil result %d", workers, i)
-			}
-			// Metrics is a struct of comparable scalars: require
-			// bit-identical equality, not tolerance.
-			if res.Metrics != want[i] {
-				t.Errorf("workers=%d job %d: parallel metrics %+v != sequential %+v",
-					workers, i, res.Metrics, want[i])
-			}
-		}
-	}
-}
-
-func TestRunBatchDeterministicAcrossRuns(t *testing.T) {
-	first, err := RunBatch(batchJobs(t, 5), BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		again, err := RunBatch(batchJobs(t, 5), BatchOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range first {
-			if again[i].Metrics != first[i].Metrics {
-				t.Fatalf("repeat %d job %d: metrics drifted: %+v != %+v",
-					rep, i, again[i].Metrics, first[i].Metrics)
-			}
-		}
-	}
-}
-
-// statefulPolicy is a minimal pointer policy for aliasing tests.
-type statefulPolicy struct{ fan units.RPM }
-
-func (p *statefulPolicy) Name() string             { return "stateful" }
-func (p *statefulPolicy) Step(Observation) Command { return Command{Fan: p.fan, Cap: 1} }
-func (p *statefulPolicy) Reset()                   {}
-
-func TestRunBatchRejectsSharedPolicy(t *testing.T) {
-	jobs := batchJobs(t, 2)
-	shared := &statefulPolicy{fan: 3000}
-	jobs[0].Config.Policy = shared
-	jobs[1].Config.Policy = shared
-	_, err := RunBatch(jobs, BatchOptions{})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("shared policy accepted: err = %v", err)
-	}
-	if be.Index != 1 {
-		t.Errorf("error blames job %d, want 1", be.Index)
-	}
-}
-
-func TestRunBatchAllowsEqualValuePolicies(t *testing.T) {
-	jobs := batchJobs(t, 2)
-	jobs[0].Config.Policy = HoldPolicy{Fan: 2000}
-	jobs[1].Config.Policy = HoldPolicy{Fan: 2000} // equal value, not aliased state
-	if _, err := RunBatch(jobs, BatchOptions{}); err != nil {
-		t.Fatalf("equal value policies rejected: %v", err)
-	}
-}
-
-func TestRunBatchPropagatesFirstErrorByIndex(t *testing.T) {
-	jobs := batchJobs(t, 4)
-	jobs[1].Config.Duration = -1 // invalid: Run will reject it
-	jobs[3].Config.Workload = nil
-	results, err := RunBatch(jobs, BatchOptions{Workers: 4})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("invalid job accepted: err = %v", err)
-	}
-	if be.Index != 1 {
-		t.Errorf("first error reported for job %d, want 1 (lowest index)", be.Index)
-	}
-	if results[0] == nil || results[2] == nil {
-		t.Error("healthy jobs should still have results")
-	}
-}
-
-func TestRunBatchNilFactory(t *testing.T) {
-	jobs := batchJobs(t, 2)
-	jobs[0].Server = nil
-	if _, err := RunBatch(jobs, BatchOptions{}); err == nil {
-		t.Fatal("nil ServerFactory accepted")
-	}
-}
-
-func TestRunBatchEmpty(t *testing.T) {
-	results, err := RunBatch(nil, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("empty batch returned %d results", len(results))
-	}
-}
 
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8, 0} {
@@ -191,30 +39,4 @@ func TestParallelForPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestSweepOrderStable(t *testing.T) {
-	cfg := Default()
-	results, err := Sweep(4, BatchOptions{Workers: 4}, func(i int) (Job, error) {
-		return Job{
-			Server: Factory(cfg),
-			Config: RunConfig{
-				Duration: 300,
-				Workload: workload.Constant{U: 0.7},
-				Policy:   HoldPolicy{Fan: units.RPM(1500 + 1000*i)},
-			},
-		}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Higher fan speed must map monotonically to lower mean junction —
-	// results landed in sweep order.
-	for i := 1; i < len(results); i++ {
-		if results[i].Metrics.MeanJunction >= results[i-1].Metrics.MeanJunction {
-			t.Errorf("sweep slot %d (%.2f C) not cooler than slot %d (%.2f C): order unstable?",
-				i, float64(results[i].Metrics.MeanJunction),
-				i-1, float64(results[i-1].Metrics.MeanJunction))
-		}
-	}
 }

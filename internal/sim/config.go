@@ -8,11 +8,12 @@
 // its own cadence and the platform applies them through a slew-limited fan
 // actuator.
 //
-// The tick loop is allocation-free after warm-up, and independent runs
-// (solution comparisons, seed sweeps, tuning experiments) execute
-// concurrently through the batch engine — see RunBatch, ParallelFor and
-// Sweep in batch.go. Batch results are order-stable and bit-identical to
-// sequential execution.
+// The tick loop is allocation-free after warm-up. Run executes one
+// simulation; independent runs (solution comparisons, seed sweeps, rack
+// passes) execute together through the lockstep batch engine — see
+// Lockstep and RunLockstep in lockstep.go, and ParallelFor in batch.go.
+// Batch results are order-stable and bit-identical to running each job
+// through Run.
 package sim
 
 import (

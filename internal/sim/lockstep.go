@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -11,34 +10,29 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the lockstep structure-of-arrays batch runner: where
-// RunBatch hands each job its own private simulation loop, a Lockstep
-// advances N same-shape servers one tick at a time from a single warm
-// instance. Construction does all the expensive, pass-invariant work once
-// — servers are built, workload generators are precompiled into per-tick
-// demand schedules (deduplicated across jobs sharing a generator, e.g. the
-// five Table III solutions fed by one trace), and every result, metrics
-// accumulator and recorded series is preallocated — so re-stepping the
-// batch is allocation-free and skips the per-tick workload evaluation
-// entirely. The fleet layer's recirculation fixed point re-runs the same
-// rack with updated inlet temperatures every relaxation pass; holding one
-// warm Lockstep per rack turns each pass into a pure re-step.
+// This file is the lockstep structure-of-arrays batch engine, the one
+// engine every multi-run caller shares: a Lockstep advances N servers one
+// tick at a time from a single warm instance. Construction does all the
+// expensive, pass-invariant work once — servers are built, workload
+// generators are precompiled into per-tick demand schedules (deduplicated
+// across jobs sharing a generator, e.g. the five Table III solutions fed
+// by one trace), and every result, metrics accumulator and recorded series
+// is preallocated — so re-stepping the batch is allocation-free and skips
+// the per-tick workload evaluation entirely. The fleet layer's
+// recirculation fixed point re-runs the same rack with updated inlet
+// temperatures every relaxation pass; holding one warm Lockstep per rack
+// turns each pass into a pure re-step.
 //
-// Results are bit-identical to running the same jobs through RunBatch (or
-// sequentially): every lane owns its server and policy, performs exactly
+// Results are bit-identical to running each job through sim.Run on a
+// fresh server: every lane owns its server and policy, performs exactly
 // the floating-point operations sim.Run would, in the same order, and the
 // tick-major schedule cannot couple lanes. Tests assert DeepEqual against
-// RunBatch across batch sizes and worker counts.
+// per-job sim.Run across batch sizes and worker counts.
 //
-// Eligibility: all jobs must share one engine tick and one duration, so
-// the batch advances on a single clock. NewLockstep reports
-// ErrHeterogeneous otherwise; RunLockstep is the drop-in entry point that
-// falls back to RunBatch in that case.
-
-// ErrHeterogeneous reports a job set the lockstep runner cannot batch on
-// one clock (mixed engine ticks or durations). Callers fall back to
-// RunBatch, which has no such constraint.
-var ErrHeterogeneous = errors.New("sim: jobs not lockstep-eligible (mixed tick or duration)")
+// Jobs may run on different clocks (engine tick, duration). Construction
+// groups the lanes into cohorts by (tick, tick count); each cohort
+// advances tick-major on its own clock, and a batch on one clock is a
+// single cohort.
 
 // lane is one server's slot in the lockstep batch.
 type lane struct {
@@ -46,6 +40,8 @@ type lane struct {
 	server *PhysicalServer
 	policy Policy
 	warm   *WarmPoint
+	tick   units.Seconds       // the server's engine step
+	nTicks int                 // ticks per run on that step
 	demand []units.Utilization // precompiled schedule, one entry per tick
 	// scale multiplies the precompiled schedule at step time (results
 	// clamped to [0, 1]); 1 leaves the schedule untouched bit for bit. The
@@ -79,97 +75,121 @@ type lane struct {
 	sumDem   float64
 }
 
-// Lockstep is a warm batch of same-clock simulations. Build one with
-// NewLockstep, run it with Run, and re-step it after adjusting per-lane
-// ambients or policies (SetAmbient, SetPolicy) — construction work is
-// never repeated.
+// cohort is a run of order positions [lo, hi) whose lanes share one clock.
+type cohort struct {
+	lo, hi int
+	nTicks int
+}
+
+// Lockstep is a warm batch of simulations. Build one with NewLockstep,
+// run it with Run, and re-step it after adjusting per-lane ambients or
+// policies (SetAmbient, SetPolicy) — construction work is never repeated.
 type Lockstep struct {
-	tick    units.Seconds
-	nTicks  int
 	workers int
-	lanes   []lane
+	lanes   []lane // job order
+	order   []int  // lane indices grouped by clock, job order within a clock
+	cohorts []cohort
 	results []*Result
 }
 
 // NewLockstep builds a warm lockstep batch from the jobs: servers are
 // constructed (one per job, via its factory), demand schedules are
-// precompiled, and all result storage is preallocated. It returns
-// ErrHeterogeneous when the jobs do not share one tick and duration, and a
-// *BatchError for per-job defects (nil factory, nil workload or policy,
-// aliased policies, non-positive duration) — mirroring RunBatch's checks.
+// precompiled, lanes are grouped into per-clock cohorts, and all result
+// storage is preallocated. A per-job defect (nil factory, nil workload or
+// policy, aliased policies, non-positive duration, a failing factory)
+// returns a *BatchError naming the lowest failing job.
 func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
-	if len(jobs) == 0 {
-		return &Lockstep{results: []*Result{}}, nil
-	}
-	seen := make(map[Policy]int, len(jobs))
-	for i, j := range jobs {
-		if j.Server == nil {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil ServerFactory")}
-		}
-		if j.Config.Workload == nil {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil workload")}
-		}
-		if j.Config.Policy == nil {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil policy")}
-		}
-		if j.Config.Duration <= 0 {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("non-positive duration %v", j.Config.Duration)}
-		}
-		if p := j.Config.Policy; reflect.ValueOf(p).Kind() == reflect.Pointer {
-			if prev, dup := seen[p]; dup {
-				return nil, &BatchError{
-					Index: i, Name: j.Name,
-					Err: fmt.Errorf("shares a Policy instance with job %d; give every job its own", prev),
-				}
-			}
-			seen[p] = i
-		}
-		if j.Config.Duration != jobs[0].Config.Duration {
-			return nil, ErrHeterogeneous
-		}
-	}
-
 	ls := &Lockstep{
 		workers: opts.Workers,
 		lanes:   make([]lane, len(jobs)),
 		results: make([]*Result, len(jobs)),
 	}
-	schedules := make(map[workload.Generator][]units.Utilization, len(jobs))
+	seen := make(map[Policy]int, len(jobs))
+	schedules := make(map[scheduleKey][]units.Utilization, len(jobs))
 	for i, j := range jobs {
-		server, err := j.Server()
-		if err != nil {
+		fail := func(err error) (*Lockstep, error) {
 			return nil, &BatchError{Index: i, Name: j.Name, Err: err}
 		}
-		if i == 0 {
-			ls.tick = server.cfg.Tick
-			ls.nTicks = int(float64(j.Config.Duration) / float64(ls.tick))
-		} else if server.cfg.Tick != ls.tick {
-			return nil, ErrHeterogeneous
+		switch {
+		case j.Server == nil:
+			return fail(fmt.Errorf("nil ServerFactory"))
+		case j.Config.Workload == nil:
+			return fail(fmt.Errorf("nil workload"))
+		case j.Config.Policy == nil:
+			return fail(fmt.Errorf("nil policy"))
+		case j.Config.Duration <= 0:
+			return fail(fmt.Errorf("non-positive duration %v", j.Config.Duration))
+		}
+		// Only pointer-typed policies can alias mutable state — value
+		// policies are copied into each job's interface.
+		if p := j.Config.Policy; reflect.ValueOf(p).Kind() == reflect.Pointer {
+			if prev, dup := seen[p]; dup {
+				return fail(fmt.Errorf("shares a Policy instance with job %d; give every job its own", prev))
+			}
+			seen[p] = i
+		}
+		server, err := j.Server()
+		if err != nil {
+			return fail(err)
 		}
 		ln := &ls.lanes[i]
 		ln.name = j.Name
 		ln.server = server
 		ln.policy = j.Config.Policy
+		ln.tick = server.cfg.Tick
+		ln.nTicks = int(float64(j.Config.Duration) / float64(ln.tick))
 		ln.scale = 1
 		ln.warm = j.Config.WarmStart
 		ln.record = j.Config.Record
 		ln.recordPower = j.Config.Record || j.Config.RecordPower
-		ln.demand = compileSchedule(schedules, j.Config.Workload, ls.nTicks, ls.tick)
+		ln.demand = compileSchedule(schedules, j.Config.Workload, ln.nTicks, ln.tick)
 		ls.results[i] = &ln.result
 	}
+	ls.groupClocks()
 	return ls, nil
+}
+
+// groupClocks orders the lanes into clock cohorts: lanes sharing a
+// (tick, tick count) pair become contiguous in ls.order, cohorts in order
+// of first appearance and lanes in job order within each.
+func (ls *Lockstep) groupClocks() {
+	ls.order = make([]int, 0, len(ls.lanes))
+	placed := make([]bool, len(ls.lanes))
+	for i := range ls.lanes {
+		if placed[i] {
+			continue
+		}
+		tick, nTicks := ls.lanes[i].tick, ls.lanes[i].nTicks
+		lo := len(ls.order)
+		for j := i; j < len(ls.lanes); j++ {
+			if !placed[j] && ls.lanes[j].tick == tick && ls.lanes[j].nTicks == nTicks {
+				placed[j] = true
+				ls.order = append(ls.order, j)
+			}
+		}
+		ls.cohorts = append(ls.cohorts, cohort{lo: lo, hi: len(ls.order), nTicks: nTicks})
+	}
+}
+
+// scheduleKey identifies one compiled demand schedule: the same generator
+// sampled on another clock is another schedule.
+type scheduleKey struct {
+	gen    workload.Generator
+	tick   units.Seconds
+	nTicks int
 }
 
 // compileSchedule evaluates gen at every tick into a demand schedule,
 // reusing an already-compiled schedule when the same generator instance
-// drives several jobs (generators are deterministic and read-only, so the
-// samples are shared safely). Only comparable generator types participate
-// in deduplication.
-func compileSchedule(cache map[workload.Generator][]units.Utilization,
+// drives several jobs on the same clock (generators are deterministic and
+// read-only, so the samples are shared safely). Only comparable generator
+// types participate in deduplication.
+func compileSchedule(cache map[scheduleKey][]units.Utilization,
 	gen workload.Generator, nTicks int, tick units.Seconds) []units.Utilization {
+	key := scheduleKey{gen: gen, tick: tick, nTicks: nTicks}
 	cmp := reflect.TypeOf(gen).Comparable()
 	if cmp {
-		if s, ok := cache[gen]; ok {
+		if s, ok := cache[key]; ok {
 			return s
 		}
 	}
@@ -178,16 +198,10 @@ func compileSchedule(cache map[workload.Generator][]units.Utilization,
 		s[k] = gen.At(units.Seconds(float64(k) * float64(tick)))
 	}
 	if cmp {
-		cache[gen] = s
+		cache[key] = s
 	}
 	return s
 }
-
-// Len returns the number of lanes in the batch.
-func (ls *Lockstep) Len() int { return len(ls.lanes) }
-
-// Ticks returns the per-lane tick count of one run.
-func (ls *Lockstep) Ticks() int { return ls.nTicks }
 
 // SetAmbient re-homes lane i's platform at a new inlet temperature. The
 // next Run simulates from that operating point; an invalid combination
@@ -281,16 +295,16 @@ func (ls *Lockstep) ensureSeries(ln *lane) {
 		return
 	}
 	if ln.sPower == nil {
-		ln.sPower = trace.NewSeriesCap("total_power", ls.nTicks)
+		ln.sPower = trace.NewSeriesCap("total_power", ln.nTicks)
 	}
 	if ln.record && ln.tsFull == nil {
-		ln.sDemand = trace.NewSeriesCap("demand", ls.nTicks)
-		ln.sDeliv = trace.NewSeriesCap("delivered", ls.nTicks)
-		ln.sCap = trace.NewSeriesCap("cap", ls.nTicks)
-		ln.sFanCmd = trace.NewSeriesCap("fan_cmd", ls.nTicks)
-		ln.sFanAct = trace.NewSeriesCap("fan_actual", ls.nTicks)
-		ln.sJunc = trace.NewSeriesCap("junction", ls.nTicks)
-		ln.sMeas = trace.NewSeriesCap("measured", ls.nTicks)
+		ln.sDemand = trace.NewSeriesCap("demand", ln.nTicks)
+		ln.sDeliv = trace.NewSeriesCap("delivered", ln.nTicks)
+		ln.sCap = trace.NewSeriesCap("cap", ln.nTicks)
+		ln.sFanCmd = trace.NewSeriesCap("fan_cmd", ln.nTicks)
+		ln.sFanAct = trace.NewSeriesCap("fan_actual", ln.nTicks)
+		ln.sJunc = trace.NewSeriesCap("junction", ln.nTicks)
+		ln.sMeas = trace.NewSeriesCap("measured", ln.nTicks)
 		ts := trace.NewSet()
 		for _, s := range []*trace.Series{ln.sDemand, ln.sDeliv, ln.sCap, ln.sFanCmd, ln.sFanAct, ln.sJunc, ln.sMeas} {
 			ts.Add(s)
@@ -347,7 +361,7 @@ func (ls *Lockstep) reset(ln *lane) error {
 // tick, metrics accumulation — the body of sim.Run's loop, with the
 // workload query replaced by the precompiled schedule.
 func (ls *Lockstep) step(ln *lane, k int) {
-	t := units.Seconds(float64(k) * float64(ls.tick))
+	t := units.Seconds(float64(k) * float64(ln.tick))
 	demand := ln.demand[k]
 	if ln.scale != 1 {
 		demand = units.Utilization(float64(demand) * ln.scale)
@@ -409,9 +423,9 @@ func (ls *Lockstep) step(ln *lane, k int) {
 // sim.Run does after its loop.
 func (ls *Lockstep) finalize(ln *lane) {
 	m := &ln.result.Metrics
-	m.Ticks = ls.nTicks
-	if ls.nTicks > 0 {
-		n := float64(ls.nTicks)
+	m.Ticks = ln.nTicks
+	if ln.nTicks > 0 {
+		n := float64(ln.nTicks)
 		m.ViolationFrac = float64(ln.violated) / n
 		m.HWThrottleFrac = float64(ln.hwThrot) / n
 		m.MeanJunction = units.Celsius(ln.sumJunc / n)
@@ -421,36 +435,38 @@ func (ls *Lockstep) finalize(ln *lane) {
 	}
 }
 
-// lockstepCohort bounds how many lanes advance tick-major together. A
+// lockstepChunk bounds how many lanes advance tick-major together. A
 // lane's working set (server, DTM state, sensor ring, schedule window) is
 // a few kilobytes; a whole 64-lane rack swept once per tick would evict
-// itself from cache every tick, so the batch advances in cohorts small
+// itself from cache every tick, so a cohort advances in chunks small
 // enough to stay resident while still interleaving lanes tick by tick.
-// Measured on the 64-lane benchmark: cohorts of 2–4 are ~17% faster than
-// 8 and ~20% faster than 32. Cohort order cannot change results — lanes
+// Measured on the 64-lane benchmark: chunks of 2–4 are ~17% faster than
+// 8 and ~20% faster than 32. Chunk order cannot change results — lanes
 // are independent.
-const lockstepCohort = 4
+const lockstepChunk = 4
 
-// runRange advances lanes [lo, hi) through the full horizon, tick-major
-// within cache-sized cohorts.
+// runRange advances the lanes at order positions [lo, hi) through their
+// horizons, tick-major within cache-sized chunks that never straddle two
+// clock cohorts.
 func (ls *Lockstep) runRange(lo, hi int) {
-	for c := lo; c < hi; c += lockstepCohort {
-		ce := c + lockstepCohort
-		if ce > hi {
-			ce = hi
-		}
-		for k := 0; k < ls.nTicks; k++ {
-			for i := c; i < ce; i++ {
-				ls.step(&ls.lanes[i], k)
+	for _, c := range ls.cohorts {
+		end := min(hi, c.hi)
+		for s := max(lo, c.lo); s < end; s += lockstepChunk {
+			chunk := ls.order[s:min(s+lockstepChunk, end)]
+			for k := 0; k < c.nTicks; k++ {
+				for _, i := range chunk {
+					ls.step(&ls.lanes[i], k)
+				}
 			}
 		}
 	}
 }
 
-// Run executes one batch pass: every lane is reset (and warm-started), all
-// lanes advance tick-by-tick, and the per-lane results are returned in job
-// order. Lanes are sharded contiguously across the worker pool; results
-// are bit-identical at any worker count, and to RunBatch on the same jobs.
+// Run executes one batch pass: every lane is reset (and warm-started), each
+// clock cohort advances tick by tick, and the per-lane results are
+// returned in job order. Lanes are sharded contiguously (in cohort order)
+// across the worker pool; results are bit-identical at any worker count,
+// and to sim.Run on each job.
 //
 // The returned results (and their trace sets) are owned by the Lockstep
 // and remain valid until the next Run — callers that need to retain a pass
@@ -488,20 +504,11 @@ func (ls *Lockstep) Run() ([]*Result, error) {
 	return ls.results, nil
 }
 
-// RunLockstep executes the jobs through a one-shot lockstep batch when
-// they share one clock, falling back to RunBatch when they do not. Results
-// are bit-identical either way; the lockstep path evaluates each distinct
-// workload generator once instead of once per job per tick.
+// RunLockstep executes the jobs as a one-shot lockstep batch. On error it
+// returns no results: the *BatchError names the lowest failing job.
 func RunLockstep(jobs []Job, opts BatchOptions) ([]*Result, error) {
 	ls, err := NewLockstep(jobs, opts)
 	if err != nil {
-		var be *BatchError
-		if errors.Is(err, ErrHeterogeneous) || errors.As(err, &be) {
-			// Not eligible, or a per-job defect: degrade to RunBatch,
-			// which honors the partial-results contract (healthy jobs
-			// still produce results beside the *BatchError).
-			return RunBatch(jobs, opts)
-		}
 		return nil, err
 	}
 	return ls.Run()

@@ -12,9 +12,10 @@ import (
 )
 
 // feedbackPolicy is a stateful closed-loop test policy: it integrates the
-// measured temperature error toward a set-point and throttles on
-// violations, exercising every Observation field so a lockstep/batch
-// divergence anywhere in the loop shows up in the results.
+// measured temperature error toward a set-point, bleeds the integrator on
+// a 60 s cadence of simulated time and throttles on violations, exercising every
+// Observation field so a divergence from sim.Run anywhere in the loop —
+// including a lane stepped on the wrong clock — shows up in the results.
 type feedbackPolicy struct {
 	ref  units.Celsius
 	gain float64
@@ -26,6 +27,9 @@ func (p *feedbackPolicy) Name() string { return "feedback" }
 
 func (p *feedbackPolicy) Step(obs Observation) Command {
 	p.acc += float64(obs.Measured - p.ref)
+	if int(obs.T)%60 == 0 {
+		p.acc *= 0.5
+	}
 	fan := units.RPM(3000 + p.gain*p.acc)
 	if obs.Violated {
 		p.cap -= 0.01
@@ -88,29 +92,52 @@ func lockstepJobs(t testing.TB, n int) []Job {
 	return jobs
 }
 
-// TestLockstepMatchesRunBatch: the lockstep runner must reproduce
-// RunBatch's results bit for bit — metrics and traces — across batch
-// sizes and worker counts.
-func TestLockstepMatchesRunBatch(t *testing.T) {
-	for _, n := range []int{1, 3, 8} {
-		want, err := RunBatch(lockstepJobs(t, n), BatchOptions{Workers: 1})
+// runEach is the independent reference the lockstep engine must match:
+// every job on a fresh server through the plain single-run loop.
+func runEach(t testing.TB, jobs []Job) []*Result {
+	t.Helper()
+	results := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		server, err := j.Server()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if results[i], err = Run(server, j.Config); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results
+}
+
+// requireSameResults fails unless got reproduces want bit for bit —
+// metrics and traces.
+func requireSameResults(t *testing.T, label string, got, want []*Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Metrics != want[i].Metrics {
+			t.Fatalf("%s lane %d: lockstep metrics %+v != sim.Run %+v", label, i, got[i].Metrics, want[i].Metrics)
+		}
+		if !reflect.DeepEqual(got[i].Traces, want[i].Traces) {
+			t.Fatalf("%s lane %d: lockstep traces differ from sim.Run", label, i)
+		}
+	}
+}
+
+// TestLockstepMatchesRun: the lockstep runner must reproduce per-job
+// sim.Run results bit for bit — metrics and traces — across batch sizes
+// and worker counts.
+func TestLockstepMatchesRun(t *testing.T) {
+	for _, n := range []int{1, 3, 8} {
+		want := runEach(t, lockstepJobs(t, n))
 		for _, workers := range []int{1, 2, 4, 0} {
 			got, err := RunLockstep(lockstepJobs(t, n), BatchOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
-			for i := range want {
-				if got[i].Metrics != want[i].Metrics {
-					t.Fatalf("n=%d workers=%d lane %d: lockstep metrics %+v != batch %+v",
-						n, workers, i, got[i].Metrics, want[i].Metrics)
-				}
-				if !reflect.DeepEqual(got[i].Traces, want[i].Traces) {
-					t.Fatalf("n=%d workers=%d lane %d: lockstep traces differ from batch", n, workers, i)
-				}
-			}
+			requireSameResults(t, fmt.Sprintf("n=%d workers=%d", n, workers), got, want)
 		}
 	}
 }
@@ -177,10 +204,7 @@ func TestLockstepSetAmbientMatchesRebuild(t *testing.T) {
 		cfg.Ambient = inlets[i]
 		jobs[i].Server = Factory(cfg)
 	}
-	want, err := RunBatch(jobs, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEach(t, jobs)
 	for i := range want {
 		if got[i].Metrics != want[i].Metrics {
 			t.Fatalf("lane %d: re-homed metrics %+v != rebuilt %+v", i, got[i].Metrics, want[i].Metrics)
@@ -201,7 +225,7 @@ func TestLockstepSetAmbientRejectsInvalid(t *testing.T) {
 }
 
 // TestLockstepSharedScheduleDedupe: jobs driven by the same generator
-// instance share one precompiled schedule and still match RunBatch.
+// instance share one precompiled schedule and still match sim.Run.
 func TestLockstepSharedScheduleDedupe(t *testing.T) {
 	cfg := Default()
 	cfg.Ambient = 30
@@ -224,59 +248,56 @@ func TestLockstepSharedScheduleDedupe(t *testing.T) {
 		}
 		return jobs
 	}
-	want, err := RunBatch(mk(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEach(t, mk())
 	got, err := RunLockstep(mk(), BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i].Metrics != want[i].Metrics {
-			t.Fatalf("lane %d: shared-generator lockstep differs from batch", i)
-		}
-	}
+	requireSameResults(t, "shared generator", got, want)
 }
 
-// TestLockstepHeterogeneousFallsBack: mixed durations or ticks are not
-// lockstep-eligible; NewLockstep says so and RunLockstep transparently
-// degrades to RunBatch with identical results.
-func TestLockstepHeterogeneousFallsBack(t *testing.T) {
+// TestLockstepMixedClocks: jobs on different durations and engine ticks
+// run in one Lockstep, each cohort on its own clock. One generator
+// instance drives lanes on both ticks, so the schedule cache must key on
+// the clock, not the generator alone. Every lane must match sim.Run at
+// any worker count. (The warm re-step of this batch is also a row of the
+// repo's zero-allocation table.)
+func TestLockstepMixedClocks(t *testing.T) {
 	mixed := func() []Job {
-		jobs := lockstepJobs(t, 3)
+		jobs := lockstepJobs(t, 6)
+		slow := Default()
+		slow.Ambient = 30
+		slow.Tick = 2
+		for _, i := range []int{1, 4, 5} {
+			jobs[i].Server = Factory(slow)
+		}
+		jobs[4].Config.Workload = jobs[0].Config.Workload // shared across ticks
 		jobs[2].Config.Duration = 450
+		jobs[5].Config.Duration = 451 // 225 ticks of 2 s
 		return jobs
 	}
-	if _, err := NewLockstep(mixed(), BatchOptions{}); !errors.Is(err, ErrHeterogeneous) {
-		t.Fatalf("mixed durations: err = %v, want ErrHeterogeneous", err)
-	}
-	want, err := RunBatch(mixed(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunLockstep(mixed(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Metrics != want[i].Metrics {
-			t.Fatalf("lane %d: fallback results differ from RunBatch", i)
+	want := runEach(t, mixed())
+	for _, workers := range []int{1, 2, 4} {
+		ls, err := NewLockstep(mixed(), BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Mixed engine ticks (only discoverable after construction).
-	ticky := lockstepJobs(t, 2)
-	cfg2 := Default()
-	cfg2.Tick = 2
-	ticky[1].Server = Factory(cfg2)
-	if _, err := NewLockstep(ticky, BatchOptions{}); !errors.Is(err, ErrHeterogeneous) {
-		t.Fatalf("mixed ticks: err = %v, want ErrHeterogeneous", err)
+		if len(ls.cohorts) != 4 {
+			t.Fatalf("workers=%d: %d clock cohorts, want 4", workers, len(ls.cohorts))
+		}
+		for rep := 0; rep < 2; rep++ { // cold pass, then a warm re-step
+			got, err := ls.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, fmt.Sprintf("workers=%d pass %d", workers, rep), got, want)
+		}
 	}
 }
 
-// TestLockstepRejectsSharedPolicy mirrors RunBatch's aliasing guard at
-// construction and through SetPolicy.
+// TestLockstepRejectsSharedPolicy: two jobs may not share one
+// pointer-typed policy, at construction or through SetPolicy; equal value
+// policies are distinct copies and stay legal.
 func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	jobs := lockstepJobs(t, 2)
 	shared := &feedbackPolicy{ref: 70, gain: 15, cap: 1}
@@ -285,6 +306,15 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	var be *BatchError
 	if _, err := NewLockstep(jobs, BatchOptions{}); !errors.As(err, &be) {
 		t.Fatalf("shared policy accepted: %v", err)
+	} else if be.Index != 1 {
+		t.Errorf("shared policy blamed on job %d, want 1", be.Index)
+	}
+
+	jobs = lockstepJobs(t, 2)
+	jobs[0].Config.Policy = HoldPolicy{Fan: 2000}
+	jobs[1].Config.Policy = HoldPolicy{Fan: 2000} // equal value, not aliased state
+	if _, err := NewLockstep(jobs, BatchOptions{}); err != nil {
+		t.Fatalf("equal value policies rejected: %v", err)
 	}
 
 	ls, err := NewLockstep(lockstepJobs(t, 2), BatchOptions{})
@@ -300,7 +330,7 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 }
 
 // TestLockstepConstructionErrors: per-job defects surface as *BatchError
-// with the failing index, like RunBatch.
+// with the failing index.
 func TestLockstepConstructionErrors(t *testing.T) {
 	for name, mutate := range map[string]func([]Job){
 		"nil-factory":  func(js []Job) { js[1].Server = nil },
@@ -319,22 +349,56 @@ func TestLockstepConstructionErrors(t *testing.T) {
 	}
 }
 
-// TestRunLockstepPartialResultsOnJobError: for per-job defects the
-// drop-in entry point degrades to RunBatch and preserves its contract —
-// healthy jobs still produce results beside the *BatchError.
-func TestRunLockstepPartialResultsOnJobError(t *testing.T) {
-	jobs := lockstepJobs(t, 3)
-	jobs[1].Config.Duration = -1
-	results, err := RunLockstep(jobs, BatchOptions{Workers: 1})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("defective job accepted: %v", err)
+// TestRunLockstepErrorNamesLowestIndex: with several defective jobs —
+// caught at validation and at server construction — the *BatchError names
+// the lowest failing index, and no partial results come back.
+func TestRunLockstepErrorNamesLowestIndex(t *testing.T) {
+	jobs := lockstepJobs(t, 5)
+	jobs[1].Server = func() (*PhysicalServer, error) { return nil, errors.New("no platform") }
+	jobs[2].Config.Duration = -1
+	jobs[4].Config.Workload = nil
+	for _, workers := range []int{1, 4} {
+		results, err := RunLockstep(jobs, BatchOptions{Workers: workers})
+		var be *BatchError
+		if !errors.As(err, &be) {
+			t.Fatalf("workers=%d: defective jobs accepted: %v", workers, err)
+		}
+		if be.Index != 1 || be.Name != "lane-1" {
+			t.Errorf("workers=%d: error blames job %d (%s), want 1 (lane-1)", workers, be.Index, be.Name)
+		}
+		if results != nil {
+			t.Errorf("workers=%d: got %d partial results beside the error", workers, len(results))
+		}
 	}
-	if be.Index != 1 {
-		t.Errorf("error blames job %d, want 1", be.Index)
+}
+
+// TestSweepOrderStable: a one-axis parameter sweep run as one batch lands
+// every result in its sweep slot at any worker count — a higher fan speed
+// must map monotonically to a lower mean junction.
+func TestSweepOrderStable(t *testing.T) {
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		jobs[i] = Job{
+			Server: Factory(Default()),
+			Config: RunConfig{
+				Duration: 300,
+				Workload: workload.Constant{U: 0.7},
+				Policy:   HoldPolicy{Fan: units.RPM(1500 + 1000*i)},
+			},
+		}
 	}
-	if len(results) != 3 || results[0] == nil || results[2] == nil {
-		t.Error("healthy jobs lost their results on the error path")
+	for _, workers := range []int{1, 4} {
+		results, err := RunLockstep(jobs, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(results); i++ {
+			if results[i].Metrics.MeanJunction >= results[i-1].Metrics.MeanJunction {
+				t.Errorf("workers=%d: sweep slot %d (%.2f C) not cooler than slot %d (%.2f C): order unstable?",
+					workers, i, float64(results[i].Metrics.MeanJunction),
+					i-1, float64(results[i-1].Metrics.MeanJunction))
+			}
+		}
 	}
 }
 

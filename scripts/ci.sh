@@ -36,12 +36,13 @@ go test -run TestZeroAllocContracts .
 # The raw store hit's allocation bound, likewise built out of -race.
 go test -run TestStoreGetRawAllocs ./internal/scenario
 
-# Lockstep-vs-batch equivalence smoke: the lockstep engine must stay
-# bit-identical to RunBatch (and the fleet fixed point to its per-pass
-# rebuild reference, the coordinator to its budget/placement invariants)
-# — run those suites explicitly, without the race detector, so the
-# allocation bars are asserted too.
-go test -run 'Lockstep|FixedPoint|BatchNetwork|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/thermal ./internal/coord
+# Engine equivalence smoke: the golden corpus must reproduce its pinned
+# keys and outcome digests, the lockstep engine must stay bit-identical
+# to per-job sim.Run (and the fleet fixed point to its per-pass rebuild
+# reference, the coordinator to its budget/placement invariants) — run
+# those suites explicitly, without the race detector, so the allocation
+# bars are asserted too.
+go test -run 'Golden|Lockstep|FixedPoint|BatchNetwork|Coordinat|ArbitrateRack|Migrate' . ./internal/sim ./internal/fleet ./internal/thermal ./internal/coord
 
 # Fleet-layer smoke: build and run the rack subcommand and the datacenter
 # example with fixed seeds on short horizons, and fail if either produces
@@ -224,7 +225,7 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# PR 10 baseline via benchjson -compare (the gate ratchets: each PR
+# PR 12 baseline via benchjson -compare (the gate ratchets: each PR
 # appends BENCH_PR<n>.json and the next gates against it). The
 # threshold is deliberately wide (60%): this 1-core shared container
 # drifts 15-35% between sessions on bit-identical hot paths (measured
@@ -233,4 +234,4 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # deterministic — are judged by the same factor against integer counts,
 # so any alloc creep on a 0-alloc path fails regardless.
 go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$store_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR10.json -threshold 0.60 < "$store_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR12.json -threshold 0.60 < "$store_dir/bench.out"

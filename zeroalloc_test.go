@@ -132,6 +132,34 @@ func TestZeroAllocContracts(t *testing.T) {
 			},
 		},
 		{
+			// The same contract when the lanes run on different clocks:
+			// a 2 s lane sharing lane 0's generator and a shorter
+			// horizon split the batch into three clock cohorts.
+			name: "warm-lockstep-mixed-clocks",
+			runs: 3,
+			setup: func(t *testing.T) func() {
+				jobs := lockstepAllocJobs(t)
+				slow := sim.Default()
+				slow.Ambient = 30
+				slow.Tick = 2
+				jobs[1].Server = sim.Factory(slow)
+				jobs[1].Config.Workload = jobs[0].Config.Workload
+				jobs[2].Config.Duration = 450
+				ls, err := sim.NewLockstep(jobs, sim.BatchOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ls.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return func() {
+					if _, err := ls.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
+		{
 			// The RK4 integrator at the 16-node multicore shape after
 			// the first Step compiles the neighbor list.
 			name: "network-step",
