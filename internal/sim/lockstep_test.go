@@ -12,10 +12,11 @@ import (
 )
 
 // feedbackPolicy is a stateful closed-loop test policy: it integrates the
-// measured temperature error toward a set-point, bleeds the integrator on
-// a 60 s cadence of simulated time and throttles on violations, exercising every
-// Observation field so a divergence from sim.Run anywhere in the loop —
-// including a lane stepped on the wrong clock — shows up in the results.
+// measured temperature error toward a set-point, bleeds the integrator
+// every 60 s of simulated time and throttles on violations, exercising
+// every Observation field so a divergence from sim.Run anywhere in the
+// loop — including a lane stepped on the wrong clock — shows up in the
+// results.
 type feedbackPolicy struct {
 	ref  units.Celsius
 	gain float64
