@@ -311,13 +311,6 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 		t.Errorf("shared policy blamed on job %d, want 1", be.Index)
 	}
 
-	jobs = lockstepJobs(t, 2)
-	jobs[0].Config.Policy = HoldPolicy{Fan: 2000}
-	jobs[1].Config.Policy = HoldPolicy{Fan: 2000} // equal value, not aliased state
-	if _, err := NewLockstep(jobs, BatchOptions{}); err != nil {
-		t.Fatalf("equal value policies rejected: %v", err)
-	}
-
 	ls, err := NewLockstep(lockstepJobs(t, 2), BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +320,24 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	}
 	if err := ls.SetPolicy(0, nil); err == nil {
 		t.Fatal("SetPolicy accepted nil")
+	}
+}
+
+// TestRunBatchAllowsEqualValuePolicies: the aliasing guard compares
+// policy identity, not value, so two lanes holding equal value-type
+// policies run to completion.
+func TestRunBatchAllowsEqualValuePolicies(t *testing.T) {
+	jobs := lockstepJobs(t, 2)
+	jobs[0].Config.Policy = HoldPolicy{Fan: 2000}
+	jobs[1].Config.Policy = HoldPolicy{Fan: 2000} // equal value, not aliased state
+	results, err := RunLockstep(jobs, BatchOptions{})
+	if err != nil {
+		t.Fatalf("equal value policies rejected: %v", err)
+	}
+	for i, r := range results {
+		if r == nil {
+			t.Errorf("job %d: no result", i)
+		}
 	}
 }
 
