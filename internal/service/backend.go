@@ -110,19 +110,29 @@ func (b *StoreBackend) GC(_ context.Context, cfg scenario.GCConfig) (scenario.GC
 	return b.st.GC(cfg)
 }
 
-// memCell is one in-memory cell: the encoded entry (so List can report a
-// size comparable to the on-disk backend) plus the decoded outcome.
+// memCell is one in-memory cell, kept encoded: the outcome's JSON (what
+// GetRaw serves and Get decodes), the spec fields List reports, and the
+// size of the encoded {spec, outcome} entry, so List can report a size
+// comparable to the on-disk backend.
 type memCell struct {
-	spec scenario.Spec
-	out  *scenario.Outcome
-	size int64
-	seq  int64 // insertion order, the in-memory analog of mtime
+	kind, name string
+	units      int
+	raw        json.RawMessage
+	size       int64
+	seq        int64 // insertion order, the in-memory analog of mtime
 }
 
+// memEntryFraming is the byte count json.Marshal adds around the spec
+// and outcome encodings of a {spec, outcome} entry.
+const memEntryFraming = len(`{"spec":,"outcome":}`)
+
 // MemBackend is the in-memory backend: same contract as StoreBackend,
-// nothing on disk. Eviction order replaces the store's mtime with the
-// insertion sequence (oldest insert first, key tiebreak on re-puts that
-// keep the original sequence), which is deterministic per process.
+// nothing on disk. Cells hold the outcome's JSON, not the decoded
+// outcome: a hit is served raw (RawGetter) with no decode, and Get
+// decodes a fresh copy the caller owns. Eviction order replaces the
+// store's mtime with the insertion sequence (oldest insert first, key
+// tiebreak on re-puts that keep the original sequence), which is
+// deterministic per process.
 type MemBackend struct {
 	mu    sync.Mutex
 	cells map[string]*memCell
@@ -137,15 +147,30 @@ func NewMemBackend() *MemBackend {
 // Name identifies the backend.
 func (b *MemBackend) Name() string { return "mem" }
 
-// Get returns the outcome stored under key.
-func (b *MemBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool, error) {
+// Get decodes the outcome stored under key into a fresh copy.
+func (b *MemBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+	raw, ok, err := b.GetRaw(ctx, key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	var out scenario.Outcome
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, false, fmt.Errorf("service: decoding mem cell %s: %w", key, err)
+	}
+	return &out, true, nil
+}
+
+// GetRaw returns the outcome's JSON stored under key. The bytes are the
+// cell's own (a re-put replaces them, never rewrites them), so callers
+// read them and must not modify them.
+func (b *MemBackend) GetRaw(_ context.Context, key string) (json.RawMessage, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.cells[key]
 	if !ok {
 		return nil, false, nil
 	}
-	return c.out, true, nil
+	return c.raw, true, nil
 }
 
 // Put stores the outcome under the spec's content key. A re-put of an
@@ -156,22 +181,27 @@ func (b *MemBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Ou
 	if err != nil {
 		return err
 	}
-	enc, err := json.Marshal(struct {
-		Spec    scenario.Spec     `json:"spec"`
-		Outcome *scenario.Outcome `json:"outcome"`
-	}{spec, out})
+	raw, err := json.Marshal(out)
 	if err != nil {
 		return fmt.Errorf("service: encoding mem cell %s: %w", key, err)
 	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Errorf("service: encoding mem cell %s: %w", key, err)
+	}
+	c := &memCell{
+		kind: spec.Kind, name: spec.Name, units: len(out.Units), raw: raw,
+		size: int64(memEntryFraming + len(specJSON) + len(raw)),
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	seq := b.seq
+	c.seq = b.seq
 	if old, ok := b.cells[key]; ok {
-		seq = old.seq
+		c.seq = old.seq
 	} else {
 		b.seq++
 	}
-	b.cells[key] = &memCell{spec: spec, out: out, size: int64(len(enc)), seq: seq}
+	b.cells[key] = c
 	return nil
 }
 
@@ -183,9 +213,9 @@ func (b *MemBackend) List(context.Context) ([]scenario.CellInfo, error) {
 	for key, c := range b.cells {
 		infos = append(infos, scenario.CellInfo{
 			Key:   key,
-			Kind:  c.spec.Kind,
-			Name:  c.spec.Name,
-			Units: len(c.out.Units),
+			Kind:  c.kind,
+			Name:  c.name,
+			Units: c.units,
 			Size:  c.size,
 		})
 	}

@@ -398,11 +398,8 @@ func (q *Queue) worker(jobs <-chan *job) {
 			j.cached = true
 			j.outcome = out
 			j.mu.Unlock()
-			close(j.done)
+			q.retire(j)
 			q.addStat(&q.stats.cacheHits)
-			q.mu.Lock()
-			delete(q.inflight, j.key)
-			q.mu.Unlock()
 			continue
 		}
 
@@ -422,19 +419,27 @@ func (q *Queue) worker(jobs <-chan *job) {
 			j.outcome = out
 		}
 		j.mu.Unlock()
-		close(j.done)
 
 		if err != nil {
-			q.addStat(&q.stats.failed)
 			// Failed jobs stay in the table so pollers see the error;
 			// a re-submit replaces them (see Submit).
+			close(j.done)
+			q.addStat(&q.stats.failed)
 			continue
 		}
+		q.retire(j)
 		q.addStat(&q.stats.simulated)
-		q.mu.Lock()
-		delete(q.inflight, j.key)
-		q.mu.Unlock()
 	}
+}
+
+// retire removes a done job from the in-flight table, then wakes its
+// waiters. The order matters: once done is closed, a status read must
+// find the key in the store (cached), not the retiring job's snapshot.
+func (q *Queue) retire(j *job) {
+	q.mu.Lock()
+	delete(q.inflight, j.key)
+	q.mu.Unlock()
+	close(j.done)
 }
 
 // recheck is the worker's store read before simulating (see worker): a

@@ -131,9 +131,9 @@ func checkHitBytes(t *testing.T, d *Daemon, spec scenario.Spec, want *scenario.O
 
 // TestRawHitByteIdentity: for every built-in kind, a hit spliced from
 // the stored bytes is byte-identical to the status encoded from the
-// decoded outcome — on the disk store (raw path), the in-memory backend
-// (decode + re-encode fallback) and a follower's local disk tier (raw
-// path, counted as a local hit).
+// decoded outcome — on the disk store, the in-memory backend and a
+// follower's local disk tier (counted as a local hit), all on the raw
+// path.
 func TestRawHitByteIdentity(t *testing.T) {
 	specs := kindSpecs(t)
 	wants := make([]*scenario.Outcome, len(specs))

@@ -39,6 +39,11 @@ type Storage struct {
 
 	// stats are owned by the serving goroutine.
 	stats StorageStats
+	// stale marks stats.Cells/Bytes as out of date: true until the first
+	// footprint is taken, and again after every uncapped Put. Stats
+	// refreshes a stale footprint with one listing, so a Put never lists
+	// the backend and polling Stats between Puts lists nothing.
+	stale bool
 }
 
 // StorageStats accounts the storage module's traffic.
@@ -47,8 +52,9 @@ type StorageStats struct {
 	Hits    int64 `json:"hits"`
 	Puts    int64 `json:"puts"`
 	Evicted int64 `json:"evicted"`
-	// Cells / Bytes snapshot the backend footprint after the last Put or
-	// GC pass (List-derived; refreshed lazily on Stats when never put).
+	// Cells / Bytes are the backend footprint as of the last Stats after
+	// a Put (one listing, taken on demand), or from the last GC pass when
+	// caps are configured.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// Tier is present when the backend is tiered (RemoteBackend): the
@@ -95,7 +101,7 @@ type storageResp struct {
 // cache tier (zero = unbounded); a capped configuration needs a backend
 // implementing GCBackend.
 func NewStorage(backend Backend, gc scenario.GCConfig) *Storage {
-	return &Storage{backend: backend, gc: gc}
+	return &Storage{backend: backend, gc: gc, stale: true}
 }
 
 // Name implements Module.
@@ -171,6 +177,7 @@ func (s *Storage) serve() {
 			err := s.backend.Put(ctx, req.spec, req.out)
 			if err == nil {
 				s.stats.Puts++
+				s.stale = true
 				err = s.maybeGC(ctx)
 			}
 			resp = storageResp{err: err}
@@ -181,7 +188,7 @@ func (s *Storage) serve() {
 			n, err := s.backend.Len(ctx)
 			resp = storageResp{n: n, err: err}
 		case opStats:
-			if s.stats.Puts == 0 && s.stats.Cells == 0 {
+			if s.stale {
 				s.refreshFootprint(ctx)
 			}
 			resp = storageResp{stats: s.statsSnapshot()}
@@ -232,20 +239,20 @@ func (s *Storage) statsSnapshot() StorageStats {
 	return st
 }
 
-// maybeGC runs an eviction pass when caps are configured, then refreshes
-// the footprint snapshot.
+// maybeGC runs an eviction pass when caps are configured; the pass's
+// result is the fresh footprint.
 func (s *Storage) maybeGC(ctx context.Context) error {
-	if s.gc.Enabled() {
-		res, err := s.backend.(GCBackend).GC(ctx, s.gc)
-		if err != nil {
-			return err
-		}
-		s.stats.Evicted += int64(len(res.Evicted))
-		s.stats.Cells = int64(res.Remaining)
-		s.stats.Bytes = res.RemainingBytes
+	if !s.gc.Enabled() {
 		return nil
 	}
-	s.refreshFootprint(ctx)
+	res, err := s.backend.(GCBackend).GC(ctx, s.gc)
+	if err != nil {
+		return err
+	}
+	s.stats.Evicted += int64(len(res.Evicted))
+	s.stats.Cells = int64(res.Remaining)
+	s.stats.Bytes = res.RemainingBytes
+	s.stale = false
 	return nil
 }
 
@@ -253,13 +260,14 @@ func (s *Storage) maybeGC(ctx context.Context) error {
 func (s *Storage) refreshFootprint(ctx context.Context) {
 	infos, err := s.backend.List(ctx)
 	if err != nil {
-		return // footprint is advisory; the next pass retries
+		return // footprint is advisory; the next Stats retries
 	}
 	s.stats.Cells = int64(len(infos))
 	s.stats.Bytes = 0
 	for _, info := range infos {
 		s.stats.Bytes += info.Size
 	}
+	s.stale = false
 }
 
 // call sends one request, translating a stopped module into ErrStopped

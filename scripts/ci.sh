@@ -225,7 +225,7 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# PR 12 baseline via benchjson -compare (the gate ratchets: each PR
+# BENCH_PR13.json baseline via benchjson -compare (the gate ratchets: each PR
 # appends BENCH_PR<n>.json and the next gates against it). The
 # threshold is deliberately wide (60%): this 1-core shared container
 # drifts 15-35% between sessions on bit-identical hot paths (measured
@@ -234,4 +234,4 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # deterministic — are judged by the same factor against integer counts,
 # so any alloc creep on a 0-alloc path fails regardless.
 go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$store_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR12.json -threshold 0.60 < "$store_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR13.json -threshold 0.60 < "$store_dir/bench.out"
