@@ -3,9 +3,11 @@
 // figures, aligned text tables for Table III, and optional CSV dumps for
 // external plotting. Every subcommand routes through the unified
 // scenario layer (internal/scenario): it builds a declarative spec,
-// scenario.Run executes it on its kind's engine, and the sweep
-// subcommands can persist results in a content-addressed store so
-// repeated grids resume instead of recomputing.
+// scenario.Run executes it on its kind's engine, and faultsweep can
+// persist results in a content-addressed store so a repeated campaign
+// resumes instead of recomputing. Racks and other one-spec runs need no
+// subcommand: write the spec file (testdata/golden holds examples) and
+// run it with `scenariod run`.
 //
 // Run without arguments for the figure set, or with a subcommand name;
 // any unknown subcommand prints the generated listing of subcommands,
@@ -26,7 +28,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -107,31 +108,7 @@ func main() {
 		faultDropout                               float64
 		faultSeed                                  int64
 
-		fleetNodes    int
-		fleetLayout   string
-		fleetSeed     int64
-		fleetWorkers  int
-		fleetRecirc   float64
-		fleetSpread   float64
-		fleetDuration float64
-		storeDir      string
-		sweepSizes    string
-		sweepSpreads  string
-		sweepCompare  bool
-
-		coordBudget   float64
-		coordGain     float64
-		coordRounds   int
-		coordMaxShare float64
-		coordMinShare float64
-		coordPeak     float64
-		coordFanTrim  float64
-		coordCapFloor float64
-
-		scAmbients string
-		scSeeds    int
-		scSeed0    int64
-		scDuration float64
+		storeDir string
 
 		fsTargets    string
 		fsTypes      string
@@ -148,44 +125,6 @@ func main() {
 	csvFlag := func(fs *flag.FlagSet) {
 		fs.StringVar(&csvDir, "csv", "", "directory to write trace CSVs into (optional)")
 	}
-	fleetFlags := func(fs *flag.FlagSet) {
-		fs.StringVar(&fleetLayout, "layout", "cold,mid,hot", "aisle assignment pattern, cycled over nodes")
-		fs.Int64Var(&fleetSeed, "seed", 1, "root seed for per-node workload streams")
-		fs.IntVar(&fleetWorkers, "workers", 0, "batch worker cap (0 = all cores; results identical)")
-		fs.Float64Var(&fleetRecirc, "recirc", 0.01, "inlet rise per watt of upstream mean power (K/W)")
-		fs.Float64Var(&fleetDuration, "duration", 3600, "per-node horizon in seconds")
-	}
-	coordFlags := func(fs *flag.FlagSet) {
-		fs.Float64Var(&coordBudget, "budget", 0, "global rack power budget in W (0 = cap arbitration off)")
-		fs.Float64Var(&coordGain, "gain", 0, "migration gain per round (0 = default 0.5)")
-		fs.IntVar(&coordRounds, "rounds", 0, "coordination rounds (0 = default 2)")
-		fs.Float64Var(&coordMaxShare, "maxshare", 0, "per-node demand share ceiling (0 = default 1.25)")
-		fs.Float64Var(&coordMinShare, "minshare", 0, "per-node demand share floor (0 = default 0.5)")
-		fs.Float64Var(&coordPeak, "peaktarget", 0, "scaled-peak demand bound for receivers (0 = default 0.9)")
-		fs.Float64Var(&coordFanTrim, "fantrim", 0, "fan ceiling margin for savings-class nodes (0 = off)")
-		fs.Float64Var(&coordCapFloor, "capfloor", 0, "arbitration cap floor (0 = default 0.5)")
-	}
-	coordParams := func() scenario.Params {
-		p := scenario.Params{}
-		set := func(k string, v float64) {
-			if v != 0 {
-				p[k] = v
-			}
-		}
-		set("power_budget_w", coordBudget)
-		set("migration_gain", coordGain)
-		set("rounds", float64(coordRounds))
-		set("max_share", coordMaxShare)
-		set("min_share", coordMinShare)
-		set("peak_target", coordPeak)
-		set("fan_trim", coordFanTrim)
-		set("cap_floor", coordCapFloor)
-		if len(p) == 0 {
-			return nil
-		}
-		return p
-	}
-
 	newCommand("fig1", "telemetry lag of the I2C power-sensor path", csvFlag,
 		func() error { return fig1(csvDir) })
 	newCommand("fig3", "fixed-gain vs adaptive PID fan control", csvFlag,
@@ -215,40 +154,6 @@ func main() {
 			DropoutRate: faultDropout,
 			Seed:        faultSeed,
 		})
-	})
-	newCommand("fleet", "heterogeneous rack with shared inlet field", func(fs *flag.FlagSet) {
-		fs.IntVar(&fleetNodes, "nodes", 6, "rack size")
-		fs.Float64Var(&fleetSpread, "spread", 8, "hot-aisle inlet offset over supply (mid = half)")
-		fleetFlags(fs)
-	}, func() error {
-		return fleetRack(fleetNodes, fleetSpread, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers)
-	})
-	newCommand("fleetcoord", "rack under the global coordinator vs per-node control", func(fs *flag.FlagSet) {
-		fs.IntVar(&fleetNodes, "nodes", 6, "rack size")
-		fs.Float64Var(&fleetSpread, "spread", 8, "hot-aisle inlet offset over supply (mid = half)")
-		fleetFlags(fs)
-		coordFlags(fs)
-	}, func() error {
-		return fleetCoord(fleetNodes, fleetSpread, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers, coordParams())
-	})
-	newCommand("fleetsweep", "rack size x inlet spread grid (resumable with -store)", func(fs *flag.FlagSet) {
-		fs.StringVar(&sweepSizes, "sizes", "2,4,8", "rack sizes")
-		fs.StringVar(&sweepSpreads, "spreads", "0,4,8", "hot-aisle inlet spreads (degC)")
-		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-		fs.BoolVar(&sweepCompare, "compare", false, "run every point under the global coordinator and print coordinated vs local columns")
-		fleetFlags(fs)
-		coordFlags(fs)
-	}, func() error {
-		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers, storeDir, sweepCompare, coordParams())
-	})
-	newCommand("sweep", "Table III scenario grid over ambient x seed (resumable with -store)", func(fs *flag.FlagSet) {
-		fs.StringVar(&scAmbients, "ambients", "30,33", "inlet temperatures (degC)")
-		fs.IntVar(&scSeeds, "nseeds", 2, "seeds per ambient (seed0..seed0+n-1)")
-		fs.Int64Var(&scSeed0, "seed0", 42, "first workload seed")
-		fs.Float64Var(&scDuration, "duration", 1200, "horizon in seconds")
-		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-	}, func() error {
-		return scenarioSweep(scAmbients, scSeeds, scSeed0, scDuration, storeDir)
 	})
 	newCommand("faultsweep", "graceful-degradation campaign: fault type × severity × target stack (resumable with -store)", func(fs *flag.FlagSet) {
 		fs.StringVar(&fsTargets, "targets", "single,fleet,fleetcoord", "target control stacks")
@@ -524,28 +429,6 @@ func faults(fc experiments.FaultConfig) error {
 	return nil
 }
 
-// parseLayout maps a comma-separated aisle pattern ("cold,mid,hot") to
-// the scenario layout cycled over rack positions.
-func parseLayout(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var layout []string
-	for _, part := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(part)) {
-		case "cold", "c":
-			layout = append(layout, "cold")
-		case "mid", "m":
-			layout = append(layout, "mid")
-		case "hot", "h":
-			layout = append(layout, "hot")
-		default:
-			return nil, fmt.Errorf("unknown aisle %q in layout (want cold|mid|hot)", part)
-		}
-	}
-	return layout, nil
-}
-
 // parseFloats maps a comma-separated list to floats.
 func parseFloats(s string) ([]float64, error) {
 	var out []float64
@@ -557,113 +440,6 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// fleetSpec assembles the generated-rack scenario at the given size and
-// hot-aisle spread.
-func fleetSpec(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int) (scenario.Spec, error) {
-	layout, err := parseLayout(layoutStr)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	return scenario.Spec{
-		Kind:     scenario.KindFleet,
-		Name:     "fleet",
-		Duration: units.Seconds(duration),
-		Fleet: &scenario.FleetSpec{
-			Size:         n,
-			Layout:       layout,
-			Seed:         seed,
-			AisleOffsets: &[3]units.Celsius{0, units.Celsius(spread / 2), units.Celsius(spread)},
-			Recirc:       units.KPerW(recirc),
-		},
-		Workers: workers,
-	}, nil
-}
-
-func fleetRack(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int) error {
-	spec, err := fleetSpec(n, spread, layoutStr, seed, recirc, duration, workers)
-	if err != nil {
-		return err
-	}
-	out, err := scenario.Run(spec)
-	if err != nil {
-		return err
-	}
-	agg := out.Aggregate
-	fmt.Printf("Fleet — %d-node rack, %.0f s horizon, shared inlet field (spread %.1f °C, recirc %.3f K/W, %d pass(es))\n\n",
-		len(out.Units), duration, spread, recirc, int(agg[scenario.MetricPasses]))
-	fmt.Printf("%-10s %6s %4s %9s %12s %12s %10s %8s\n",
-		"node", "aisle", "slot", "inlet(°C)", "violation(%)", "fanE(kJ)", "meanFan", "Tmax")
-	for i := range out.Units {
-		u := &out.Units[i]
-		fmt.Printf("%-10s %6s %4d %9.1f %12.2f %12.2f %10.0f %8.1f\n",
-			u.Name, u.Labels["aisle"], int(u.Metric(scenario.MetricSlot, 0)),
-			u.Metric(scenario.MetricInletC, 0),
-			u.Metric(scenario.MetricViolationFrac, 0)*100,
-			u.Metric(scenario.MetricFanEnergyJ, 0)/1000,
-			u.Metric(scenario.MetricMeanFanRPM, 0),
-			u.Metric(scenario.MetricMaxJunctionC, 0))
-	}
-	fmt.Printf("\nper aisle:\n")
-	for _, aisle := range []string{"cold", "mid", "hot"} {
-		prefix := "aisle_" + aisle + "_"
-		n, ok := agg[prefix+"nodes"]
-		if !ok || n == 0 {
-			continue
-		}
-		fmt.Printf("  %-5s %d node(s): mean inlet %.1f °C, %.2f%% violations, %.1f kJ fan, Tmax %.1f °C\n",
-			aisle, int(n), agg[prefix+"mean_inlet_c"], agg[prefix+scenario.MetricViolationFrac]*100,
-			agg[prefix+scenario.MetricFanEnergyJ]/1000, agg[prefix+scenario.MetricMaxJunctionC])
-	}
-	fmt.Printf("\nrack: %.2f%% violations, fan %.1f kJ (%.2f%% of %.1f kJ total), Tmax %.1f °C\n",
-		agg[scenario.MetricViolationFrac]*100, agg[scenario.MetricFanEnergyJ]/1000,
-		agg[scenario.MetricFanEnergyShare]*100, agg[scenario.MetricTotalEnergyJ]/1000,
-		agg[scenario.MetricMaxJunctionC])
-	fmt.Printf("rack power: peak %.0f W, mean %.0f W\n\n",
-		agg[scenario.MetricPeakRackPowerW], agg[scenario.MetricMeanRackPowerW])
-	return nil
-}
-
-// fleetCoord runs one rack under the global coordinator and prints the
-// coordinated-vs-local comparison.
-func fleetCoord(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int, params scenario.Params) error {
-	spec, err := fleetSpec(n, spread, layoutStr, seed, recirc, duration, workers)
-	if err != nil {
-		return err
-	}
-	spec.Kind = scenario.KindFleetCoord
-	spec.Name = "fleetcoord"
-	spec.Params = params
-	out, err := scenario.Run(spec)
-	if err != nil {
-		return err
-	}
-	agg := out.Aggregate
-	fmt.Printf("Fleet coordinator — %d-node rack, %.0f s horizon (spread %.1f °C, recirc %.3f K/W, budget %.0f W, %d round(s), best round %d)\n\n",
-		len(out.Units), duration, spread, recirc,
-		agg[scenario.MetricCoordBudgetW], int(agg[scenario.MetricCoordRounds]), int(agg[scenario.MetricCoordBestRound]))
-	fmt.Printf("%-10s %6s %4s %9s %7s %12s %12s %10s %8s\n",
-		"node", "aisle", "slot", "inlet(°C)", "share", "violation(%)", "fanE(kJ)", "meanFan", "Tmax")
-	for i := range out.Units {
-		u := &out.Units[i]
-		fmt.Printf("%-10s %6s %4d %9.1f %7.3f %12.2f %12.2f %10.0f %8.1f\n",
-			u.Name, u.Labels["aisle"], int(u.Metric(scenario.MetricSlot, 0)),
-			u.Metric(scenario.MetricInletC, 0),
-			u.Metric(scenario.MetricShare, 1),
-			u.Metric(scenario.MetricViolationFrac, 0)*100,
-			u.Metric(scenario.MetricFanEnergyJ, 0)/1000,
-			u.Metric(scenario.MetricMeanFanRPM, 0),
-			u.Metric(scenario.MetricMaxJunctionC, 0))
-	}
-	localViol := agg[scenario.LocalMetricPrefix+scenario.MetricViolationFrac]
-	coordViol := agg[scenario.MetricViolationFrac]
-	fmt.Printf("\nrack summary: local %.2f%% violations / %.1f kJ fan -> coordinated %.2f%% violations / %.1f kJ fan (migrated share %.1f%%)\n",
-		localViol*100, agg[scenario.LocalMetricPrefix+scenario.MetricFanEnergyJ]/1000,
-		coordViol*100, agg[scenario.MetricFanEnergyJ]/1000,
-		agg[scenario.MetricCoordMigrated]*100)
-	fmt.Printf("verdict: coordinated beats-or-ties local violations: %v\n\n", coordViol <= localViol)
-	return nil
 }
 
 // openStore opens the optional result store.
@@ -719,154 +495,5 @@ func storeGC(dir string, maxBytes int64, maxCells int) error {
 	}
 	fmt.Printf("store %s: evicted %d cell(s) / %d bytes; %d cell(s) / %d bytes remain\n",
 		st.Dir(), len(res.Evicted), res.BytesFreed, res.Remaining, res.RemainingBytes)
-	return nil
-}
-
-func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, workers int, storeDir string, compare bool, params scenario.Params) error {
-	if !compare && params != nil {
-		return fmt.Errorf("coordinator flags only apply with -compare (add -compare, or drop the coordinator flags)")
-	}
-	var sizes []int
-	for _, part := range strings.Split(sizesStr, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad -sizes: %w", err)
-		}
-		sizes = append(sizes, v)
-	}
-	spreads, err := parseFloats(spreadsStr)
-	if err != nil {
-		return fmt.Errorf("bad -spreads: %w", err)
-	}
-	store, err := openStore(storeDir)
-	if err != nil {
-		return err
-	}
-
-	// One scenario per grid point, row-major (sizes outer, spreads
-	// inner), mirroring fleet.Sweep: the sub-seed is keyed on the rack
-	// size itself so a size reruns the same workloads at every spread.
-	// With -compare every point runs as a fleetcoord cell, which carries
-	// the local baseline alongside the coordinated result.
-	var specs []scenario.Spec
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			spec, err := fleetSpec(size, spread, layoutStr, stats.SubSeed(seed, int64(size)), recirc, duration, workers)
-			if err != nil {
-				return err
-			}
-			spec.Name = fmt.Sprintf("fleetsweep/size=%d/spread=%g", size, spread)
-			if compare {
-				spec.Kind = scenario.KindFleetCoord
-				spec.Name = fmt.Sprintf("fleetcoordsweep/size=%d/spread=%g", size, spread)
-				spec.Params = params
-			}
-			specs = append(specs, spec)
-		}
-	}
-	res, err := scenario.Sweep(specs, store)
-	if err != nil {
-		return err
-	}
-
-	if compare {
-		fmt.Printf("Fleet sweep — coordinated vs per-node control over rack size × inlet spread (%.0f s horizon, recirc %.3f K/W)\n\n",
-			duration, recirc)
-		fmt.Printf("%6s %10s %13s %13s %12s %12s %8s %6s\n",
-			"nodes", "spread(°C)", "localViol(%)", "coordViol(%)", "localFan(kJ)", "coordFan(kJ)", "migr(%)", "cache")
-	} else {
-		fmt.Printf("Fleet sweep — rack size × hot-aisle inlet spread (%.0f s horizon, recirc %.3f K/W)\n\n",
-			duration, recirc)
-		fmt.Printf("%6s %10s %12s %12s %12s %10s %8s %6s\n",
-			"nodes", "spread(°C)", "violation(%)", "fanE(kJ)", "fanShare(%)", "peakP(W)", "Tmax", "cache")
-	}
-	i := 0
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			cell := res.Cells[i]
-			agg := cell.Outcome.Aggregate
-			cached := "miss"
-			if cell.Cached {
-				cached = "hit"
-			}
-			if compare {
-				fmt.Printf("%6d %10.1f %13.2f %13.2f %12.2f %12.2f %8.1f %6s\n",
-					size, spread,
-					agg[scenario.LocalMetricPrefix+scenario.MetricViolationFrac]*100,
-					agg[scenario.MetricViolationFrac]*100,
-					agg[scenario.LocalMetricPrefix+scenario.MetricFanEnergyJ]/1000,
-					agg[scenario.MetricFanEnergyJ]/1000,
-					agg[scenario.MetricCoordMigrated]*100,
-					cached)
-			} else {
-				fmt.Printf("%6d %10.1f %12.2f %12.2f %12.2f %10.0f %8.1f %6s\n",
-					size, spread,
-					agg[scenario.MetricViolationFrac]*100,
-					agg[scenario.MetricFanEnergyJ]/1000,
-					agg[scenario.MetricFanEnergyShare]*100,
-					agg[scenario.MetricPeakRackPowerW],
-					agg[scenario.MetricMaxJunctionC],
-					cached)
-			}
-			i++
-		}
-	}
-	if store != nil {
-		fmt.Printf("\nstore %s: %d hits, %d misses\n", store.Dir(), res.Hits, res.Misses)
-	}
-	fmt.Println()
-	return nil
-}
-
-// scenarioSweep runs the Table III comparison over an ambient × seed
-// grid through the scenario sweep, demonstrating store-backed resume on
-// the sim engines.
-func scenarioSweep(ambientsStr string, nSeeds int, seed0 int64, duration float64, storeDir string) error {
-	ambients, err := parseFloats(ambientsStr)
-	if err != nil {
-		return fmt.Errorf("bad -ambients: %w", err)
-	}
-	if nSeeds < 1 {
-		return fmt.Errorf("need at least one seed")
-	}
-	store, err := openStore(storeDir)
-	if err != nil {
-		return err
-	}
-	var specs []scenario.Spec
-	var labels []string
-	for _, ambient := range ambients {
-		for s := 0; s < nSeeds; s++ {
-			tc := experiments.DefaultTable3()
-			tc.Ambient = units.Celsius(ambient)
-			tc.Seed = seed0 + int64(s)
-			tc.Duration = units.Seconds(duration)
-			spec := experiments.Table3Spec(tc)
-			spec.Name = fmt.Sprintf("table3/ambient=%g/seed=%d", ambient, tc.Seed)
-			specs = append(specs, spec)
-			labels = append(labels, fmt.Sprintf("%6.1f %6d", ambient, tc.Seed))
-		}
-	}
-	res, err := scenario.Sweep(specs, store)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Scenario sweep — Table III (%.0f s horizon) over ambient × seed\n\n", duration)
-	fmt.Printf("%6s %6s %16s %16s %12s %6s\n",
-		"amb", "seed", "baselineViol(%)", "fullViol(%)", "fullEnergy", "cache")
-	for i, cell := range res.Cells {
-		table := experiments.Table3FromOutcome(cell.Outcome)
-		base, full := table.Rows[0], table.Rows[len(table.Rows)-1]
-		cached := "miss"
-		if cell.Cached {
-			cached = "hit"
-		}
-		fmt.Printf("%s %16.2f %16.2f %12.3f %6s\n",
-			labels[i], base.ViolationPct, full.ViolationPct, full.NormFanEnergy, cached)
-	}
-	if store != nil {
-		fmt.Printf("\nstore %s: %d hits, %d misses\n", store.Dir(), res.Hits, res.Misses)
-	}
-	fmt.Println()
 	return nil
 }

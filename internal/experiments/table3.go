@@ -182,11 +182,5 @@ func Table3(tc Table3Config) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Table3FromOutcome(out), nil
-}
-
-// Table3FromOutcome folds a (possibly store-cached) outcome into the
-// paper's table.
-func Table3FromOutcome(out *scenario.Outcome) *Table3Result {
-	return &Table3Result{Rows: table3RowsFromUnits(out.Units)}
+	return &Table3Result{Rows: table3RowsFromUnits(out.Units)}, nil
 }

@@ -73,8 +73,8 @@ func registerBuiltinWorkloads() {
 			units.Utilization(p.Get("level", 1.0)),
 			int(p.Get("count", 6))))
 	})
-	// The cmd/fansim "spiky" workload: a noisy square wave with two
-	// full-load bursts per period, sized from the horizon.
+	// A noisy square wave with two full-load bursts per period, sized
+	// from the horizon.
 	RegisterWorkload("spiky-square", "period, sigma, duration; seeded", func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
 		period := p.Get("period", 600)
 		duration := p.Get("duration", 3600)
@@ -121,7 +121,7 @@ func registerBuiltinWorkloads() {
 }
 
 func registerBuiltinPolicies() {
-	// The five Table III solutions, under the cmd/fansim names. "rcoord"
+	// The five Table III solutions, under their short names. "rcoord"
 	// takes the set-point as a parameter (Table III uses 75 °C).
 	RegisterPolicy("none", "w/o coordination baseline", func(cfg sim.Config, seed int64, p Params) (sim.Policy, error) {
 		return core.NewUncoordinated(cfg)

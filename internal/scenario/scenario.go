@@ -11,8 +11,9 @@
 // parameters and an explicit seed. Plain data buys three things:
 //
 //   - every experiment entry point (internal/experiments, cmd/experiments,
-//     cmd/fansim, the examples) shares one shape instead of growing its own
-//     XxxConfig;
+//     scenariod, the examples) shares one shape instead of growing its own
+//     XxxConfig, and a spec file is itself a runnable experiment
+//     (`scenariod run FILE`);
 //   - a Spec canonicalizes to stable JSON, so its SHA-256 content hash
 //     keys a persistent result store (store.go) and Sweep resumes
 //     incrementally instead of recomputing finished cells;
@@ -253,8 +254,7 @@ type FleetSpec struct {
 	// and only accepted — with an explicit Nodes list.
 	Segments []BusSegment `json:"segments,omitempty"`
 
-	// Supply is the CRAC supply temperature; zero means 24 °C (the
-	// fleet.Sweep convention).
+	// Supply is the CRAC supply temperature; zero means 24 °C.
 	Supply units.Celsius `json:"supply,omitempty"`
 	// AisleOffsets is added to Supply per aisle position (cold, mid,
 	// hot); nil means fleet.DefaultOffsets.

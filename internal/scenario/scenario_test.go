@@ -313,61 +313,6 @@ func TestFleetGeneratedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestFleetGridMatchesFleetSweep pins the spec-per-cell grid (what the
-// fleetsweep subcommand builds) to fleet.Sweep: same sub-seed keying on
-// rack size, same spread-to-offsets mapping, bit-identical rack metrics.
-func TestFleetGridMatchesFleetSweep(t *testing.T) {
-	sizes := []int{2, 3}
-	spreads := []float64{0, 4}
-	const seed, recirc, duration = 1, 0.01, 400.0
-
-	ref, err := fleet.Sweep(fleet.SweepConfig{
-		RackSizes: sizes,
-		Spreads:   []units.Celsius{0, 4},
-		Seed:      seed,
-		Recirc:    recirc,
-		Duration:  duration,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var specs []Spec
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			specs = append(specs, Spec{
-				Kind:     KindFleet,
-				Duration: duration,
-				Fleet: &FleetSpec{
-					Size:         size,
-					Seed:         stats.SubSeed(seed, int64(size)),
-					AisleOffsets: &[3]units.Celsius{0, units.Celsius(spread / 2), units.Celsius(spread)},
-					Recirc:       recirc,
-				},
-			})
-		}
-	}
-	res, err := Sweep(specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != len(ref) {
-		t.Fatalf("cells = %d, want %d", len(res.Cells), len(ref))
-	}
-	for i, cell := range res.Cells {
-		want := ref[i].Result
-		agg := cell.Outcome.Aggregate
-		if agg[MetricViolationFrac] != want.ViolationFrac ||
-			agg[MetricFanEnergyJ] != float64(want.FanEnergy) ||
-			agg[MetricFanEnergyShare] != want.FanEnergyShare ||
-			agg[MetricPeakRackPowerW] != float64(want.PeakRackPower) ||
-			agg[MetricMaxJunctionC] != float64(want.MaxJunction) {
-			t.Errorf("cell %d (size %d, spread %g) aggregates differ from fleet.Sweep",
-				i, ref[i].RackSize, float64(ref[i].Spread))
-		}
-	}
-}
-
 // TestFleetGeneratedHonorsBase: a declared Base platform must shape a
 // generated rack's nodes (it is part of the identity hash, so ignoring
 // it would let one store cell masquerade as another).

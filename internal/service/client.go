@@ -27,13 +27,16 @@ const (
 	// remote tier could not be consulted (circuit breaker open) — the key
 	// may exist fleet-wide.
 	CodeRemoteDegraded = "remote_degraded"
+	// CodeConflict: a push carried an outcome that differs from the one
+	// already stored under its key; the stored cell was kept.
+	CodeConflict = "conflict"
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal = "internal"
 )
 
 // Client talks to a scenariod instance. It is safe for concurrent use
-// (the load-test driver shares one client across its workers so the
-// underlying http.Transport pools connections).
+// (share one client across goroutines so the underlying http.Transport
+// pools connections).
 type Client struct {
 	base string
 	hc   *http.Client

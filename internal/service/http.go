@@ -22,6 +22,9 @@ import (
 //	PUT  /v1/scenarios/{key}  push an already-computed {spec, outcome}
 //	                          cell (the tiered write-through verb); the
 //	                          key must match the spec's content hash.
+//	                          Cells are written once: a push for a
+//	                          stored key answers 200 without writing if
+//	                          the outcome bytes match, 409 if not.
 //	GET  /v1/scenarios        list stored cells + in-flight jobs
 //	                          (mirrors `store ls`).
 //	GET  /v1/scenarios/{key}  poll a key: job progress or the stored
@@ -236,8 +239,12 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handlePush is PUT /v1/scenarios/{key}: store an already-computed cell
 // (tiered daemons replicating into the shared tier). The key in the URL
-// must match the spec's content hash — content addressing makes pushes
-// self-validating.
+// must match the spec's content hash. The key covers the spec only, not
+// the outcome, so a push cannot replace a stored cell: the engine is
+// bit-identical everywhere, and an honest push of a stored key carries
+// the stored bytes (200, nothing written). Different bytes answer 409
+// with CodeConflict and count in the storage stats. A push for a key
+// never stored here is taken as it comes.
 func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
@@ -264,12 +271,15 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("pushed key %q does not match spec content key %q", got, key))
 		return
 	}
-	if err := h.storage.Put(r.Context(), pr.Spec, pr.Outcome); err != nil {
-		if err == ErrStopped {
+	if err := h.storage.Push(r.Context(), pr.Spec, key, pr.Outcome); err != nil {
+		switch err {
+		case ErrStopped:
 			writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
-			return
+		case ErrConflict:
+			writeError(w, http.StatusConflict, CodeConflict, fmt.Sprintf("key %s: %v", key, err))
+		default:
+			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, JobStatus{Key: key, State: StateDone, Cached: true})

@@ -77,7 +77,7 @@ type TierStats struct {
 	DegradedSkips int64 `json:"degraded_skips"`
 	// WriteThroughs / WriteDropped account the Put replication path:
 	// completed remote writes and writes abandoned (queue full on async,
-	// retries exhausted, or breaker open).
+	// retries exhausted, breaker open, or refused as a conflict).
 	WriteThroughs int64 `json:"write_throughs"`
 	WriteDropped  int64 `json:"write_dropped"`
 	// BreakerState is "closed", "open" or "half-open"; BreakerOpens
@@ -215,7 +215,7 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 			r.count(func(st *TierStats) { st.RemoteMisses++ })
 			return nil, false, nil
 		}
-		r.remoteFailure(err)
+		r.remoteFailure()
 		return nil, false, nil
 	}
 	r.br.success()
@@ -266,7 +266,7 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 	st, err := r.client.Submit(rctx, spec, true)
 	cancel()
 	if err != nil {
-		r.remoteFailure(err)
+		r.remoteFailure()
 		return nil, false, nil
 	}
 	r.br.success()
@@ -320,7 +320,9 @@ func (r *RemoteBackend) writer() {
 
 // pushRetry attempts the remote write up to retries times with jittered
 // exponential backoff, honoring the breaker. Terminal failure is
-// counted, never returned.
+// counted, never returned. A conflict (the remote already stores a
+// different outcome) is terminal at once: the remote answered, so the
+// breaker sees a success, and a retry would only conflict again.
 func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) {
 	delay := r.backoff
 	for attempt := 0; attempt < r.retries; attempt++ {
@@ -339,7 +341,11 @@ func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *
 			r.count(func(st *TierStats) { st.WriteThroughs++ })
 			return
 		}
-		r.remoteFailure(err)
+		if se, ok := err.(*StatusError); ok && se.APICode == CodeConflict {
+			r.br.success()
+			break
+		}
+		r.remoteFailure()
 		if attempt < r.retries-1 {
 			// Jitter the backoff off the wall clock's low bits so
 			// synchronized retry storms decorrelate.
@@ -395,10 +401,9 @@ func (r *RemoteBackend) count(f func(*TierStats)) {
 }
 
 // remoteFailure records one failed remote call.
-func (r *RemoteBackend) remoteFailure(err error) {
+func (r *RemoteBackend) remoteFailure() {
 	r.br.failure()
 	r.count(func(st *TierStats) { st.RemoteErrors++ })
-	_ = err
 }
 
 // breakerState enumerates the circuit breaker's states.

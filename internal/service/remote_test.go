@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,69 +284,121 @@ func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 	}
 }
 
-// TestTwoTierByteIdentity: an outcome served read-through from the
-// leader is byte-identical to a direct in-process scenario.Run, and a
-// unique spec costs exactly one simulation across the fleet.
+// TestTwoTierByteIdentity: outcomes served through a follower are
+// byte-identical to a direct in-process scenario.Run, and each unique
+// spec costs exactly one simulation across the fleet, run on the
+// leader. Two scenes: one spec submitted cold through the follower (the
+// leader simulates on its behalf), and a leader warmed with N specs that
+// K concurrent clients then read through the follower. In both, a
+// second pass through the follower is served from its local tier: the
+// write-back leaves the remote-hit counter where it was. Every count is
+// a per-daemon counter, not the process-global tick probe, which both
+// in-process daemons share.
 func TestTwoTierByteIdentity(t *testing.T) {
-	spec := testSpec(73)
-	want, err := scenario.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name       string
+		specs      int  // N unique specs
+		clients    int  // K concurrent follower clients, each submitting all N
+		warmLeader bool // submit every spec to the leader first
+	}{
+		{name: "cold-leader", specs: 1, clients: 1},
+		{name: "warm-leader-concurrent", specs: 4, clients: 4, warmLeader: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := make([]scenario.Spec, tc.specs)
+			want := make([]string, tc.specs)
+			for i := range specs {
+				specs[i] = testSpec(73 + float64(i))
+				out, err := scenario.Run(specs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = string(b)
+			}
 
-	leader := startDaemon(t, Config{})
-	follower := startDaemon(t, Config{Remote: leader.BaseURL()})
-	fc := NewClient(follower.BaseURL())
+			leader := startDaemon(t, Config{})
+			follower := startDaemon(t, Config{Remote: leader.BaseURL()})
+			if tc.warmLeader {
+				lc := NewClient(leader.BaseURL())
+				for _, spec := range specs {
+					if _, err := lc.Submit(ctx, spec, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fc := NewClient(follower.BaseURL())
 
-	st, err := fc.Submit(ctx, spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("submit state = %s: %s", st.State, st.Error)
-	}
-	got, err := json.Marshal(st.Outcome)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(wantJSON) {
-		t.Error("read-through outcome differs from direct scenario.Run")
-	}
+			// pass has K clients submit every spec through the follower
+			// at once, checks each outcome's bytes, and reports whether
+			// every answer was cached.
+			pass := func() (allCached bool) {
+				var wg sync.WaitGroup
+				var uncached atomic.Int64
+				for c := 0; c < tc.clients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for i := range specs {
+							// Clients start at different specs so they
+							// race on every key, not in lockstep.
+							k := (i + c) % len(specs)
+							st, err := fc.Submit(ctx, specs[k], true)
+							if err != nil || st.State != StateDone {
+								t.Errorf("client %d spec %d: state %q, err %v", c, k, st.State, err)
+								return
+							}
+							if got, err := json.Marshal(st.Outcome); err != nil || string(got) != want[k] {
+								t.Errorf("client %d spec %d: outcome differs from direct scenario.Run (%v)", c, k, err)
+							}
+							if !st.Cached {
+								uncached.Add(1)
+							}
+						}
+					}(c)
+				}
+				wg.Wait()
+				return uncached.Load() == 0
+			}
 
-	if sims := leader.Queue().Stats().Simulated + follower.Queue().Stats().Simulated; sims != 1 {
-		t.Errorf("fleet simulated %d for one unique spec, want 1", sims)
-	}
+			pass()
+			if sims := follower.Queue().Stats().Simulated; sims != 0 {
+				t.Errorf("follower simulated %d with a healthy leader, want 0", sims)
+			}
+			if sims := leader.Queue().Stats().Simulated + follower.Queue().Stats().Simulated; sims != int64(tc.specs) {
+				t.Errorf("fleet simulated %d for %d unique specs", sims, tc.specs)
+			}
 
-	// Resubmit: the write-back made the key a local hit, so the remote
-	// counter must not move again.
-	sr1, err := fc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := fc.Submit(ctx, spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Cached {
-		t.Errorf("resubmit = %+v, want cached", st2)
-	}
-	sr2, err := fc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr1.Storage.Tier == nil || sr2.Storage.Tier == nil {
-		t.Fatal("follower reports no tier stats")
-	}
-	if sr2.Storage.Tier.RemoteHits != sr1.Storage.Tier.RemoteHits {
-		t.Errorf("resubmit went remote again (%d -> %d remote hits); write-back broken",
-			sr1.Storage.Tier.RemoteHits, sr2.Storage.Tier.RemoteHits)
-	}
-	if sr2.Storage.Tier.LocalHits <= sr1.Storage.Tier.LocalHits {
-		t.Errorf("resubmit not a local hit: %d -> %d", sr1.Storage.Tier.LocalHits, sr2.Storage.Tier.LocalHits)
+			// Second pass: the write-back made every key a local hit, so
+			// the remote-hit counter must not move again.
+			sr1, err := fc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pass() {
+				t.Error("second pass through the follower not served from its store")
+			}
+			sr2, err := fc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr1.Storage.Tier == nil || sr2.Storage.Tier == nil {
+				t.Fatal("follower reports no tier stats")
+			}
+			if sr2.Storage.Tier.RemoteHits != sr1.Storage.Tier.RemoteHits {
+				t.Errorf("second pass went remote again (%d -> %d remote hits); write-back broken",
+					sr1.Storage.Tier.RemoteHits, sr2.Storage.Tier.RemoteHits)
+			}
+			if sr2.Storage.Tier.LocalHits <= sr1.Storage.Tier.LocalHits {
+				t.Errorf("second pass not local hits: %d -> %d", sr1.Storage.Tier.LocalHits, sr2.Storage.Tier.LocalHits)
+			}
+			if sims := leader.Queue().Stats().Simulated + follower.Queue().Stats().Simulated; sims != int64(tc.specs) {
+				t.Errorf("fleet simulated %d after the warm pass, want %d", sims, tc.specs)
+			}
+		})
 	}
 }
 
@@ -514,5 +567,114 @@ func TestPushEndpointValidation(t *testing.T) {
 	}
 	if apiErr.Code != CodeInvalidSpec {
 		t.Errorf("mismatched push key code = %q, want %q", apiErr.Code, CodeInvalidSpec)
+	}
+}
+
+// TestPushCannotOverwriteStoredOutcome: the URL key covers the spec,
+// not the outcome, so a push for a simulated key must not replace the
+// stored cell. A forged outcome is refused with 409/conflict and
+// counted; GET and a resubmit still serve the simulated bytes; an
+// honest re-push of those bytes answers 200 and writes nothing. A
+// follower whose write-through meets the conflict gives up at once,
+// with no retry and no breaker failure.
+func TestPushCannotOverwriteStoredOutcome(t *testing.T) {
+	spec := testSpec(56)
+	want, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := &scenario.Outcome{Kind: spec.Kind, Units: []scenario.Unit{{
+		Name: "forged", Metrics: map[string]float64{scenario.MetricViolationFrac: 0},
+	}}}
+
+	for _, backend := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"mem", func(*testing.T) Config { return Config{} }},
+		{"disk", func(t *testing.T) Config { return Config{StoreDir: t.TempDir()} }},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			d := startDaemon(t, backend.cfg(t))
+			c := NewClient(d.BaseURL())
+			if _, err := c.Submit(ctx, spec, true); err != nil {
+				t.Fatal(err)
+			}
+			before, err := c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			err = c.Push(ctx, spec, forged)
+			if se, ok := err.(*StatusError); !ok || se.Code != http.StatusConflict || se.APICode != CodeConflict {
+				t.Fatalf("forged push over a stored cell -> %v, want 409/%s", err, CodeConflict)
+			}
+			for _, read := range []struct {
+				name string
+				do   func() (JobStatus, error)
+			}{
+				{"get", func() (JobStatus, error) { return c.Get(ctx, key) }},
+				{"resubmit", func() (JobStatus, error) { return c.Submit(ctx, spec, true) }},
+			} {
+				st, err := read.do()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(st.Outcome)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Cached || string(got) != string(wantJSON) {
+					t.Errorf("%s after the forged push: cached=%v, outcome matches scenario.Run: %v",
+						read.name, st.Cached, string(got) == string(wantJSON))
+				}
+			}
+
+			if err := c.Push(ctx, spec, want); err != nil {
+				t.Errorf("honest re-push of the stored outcome: %v, want 200", err)
+			}
+			after, err := c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Storage.PushConflicts - before.Storage.PushConflicts; n != 1 {
+				t.Errorf("push conflicts counted %d, want 1", n)
+			}
+			if after.Storage.Puts != before.Storage.Puts {
+				t.Errorf("pushes wrote %d cell(s), want 0", after.Storage.Puts-before.Storage.Puts)
+			}
+
+			// A follower holding the forgery locally replicates it into
+			// this daemon: one refused attempt, no breaker failure.
+			rb := NewRemoteBackend(NewMemBackend(), NewClient(d.BaseURL()),
+				RemoteSyncWrites(true), RemoteRetry(3, time.Millisecond))
+			defer func() {
+				if err := rb.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			if err := rb.Put(ctx, spec, forged); err != nil {
+				t.Fatal(err)
+			}
+			ts := rb.TierStats()
+			if ts.RemoteErrors != 0 || ts.WriteThroughs != 0 || ts.WriteDropped != 1 || ts.BreakerState != "closed" {
+				t.Errorf("follower tier after a conflicting write-through: %+v, want 0 errors, 1 dropped, breaker closed", ts)
+			}
+			final, err := c.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := final.Storage.PushConflicts - after.Storage.PushConflicts; n != 1 {
+				t.Errorf("follower pushed the conflicting cell %d times, want 1 (no retry)", n)
+			}
+		})
 	}
 }

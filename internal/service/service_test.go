@@ -437,32 +437,3 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 		t.Errorf("storage get after stop: %v, want ErrStopped", err)
 	}
 }
-
-// TestLoadTestSmoke drives the two-phase load test against a tiny
-// self-hosted daemon: the dedup invariant holds and the hot phase hits
-// the cache.
-func TestLoadTestSmoke(t *testing.T) {
-	d := startDaemon(t, Config{Shards: 4})
-	res, err := RunLoadTest(NewClient(d.BaseURL()), LoadTestConfig{
-		Clients: 4, ColdSpecs: 3, HotSpecs: 2, Requests: 10,
-		Duration: 120, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ColdSimulated != int64(res.UniqueSpecs) {
-		t.Errorf("cold phase simulated %d, want %d", res.ColdSimulated, res.UniqueSpecs)
-	}
-	if res.HotRequests != 4*10 {
-		t.Errorf("hot requests = %d, want 40", res.HotRequests)
-	}
-	if res.HitRate <= 0.5 {
-		t.Errorf("hit rate %.2f, want mostly warm", res.HitRate)
-	}
-	if res.WarmP99MS <= 0 {
-		t.Error("warm p99 not measured")
-	}
-	if res.Summary() == "" {
-		t.Error("empty summary")
-	}
-}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,6 +58,9 @@ type StorageStats struct {
 	// caps are configured.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
+	// PushConflicts counts pushes refused because a different outcome is
+	// already stored under the key: a forgery or a determinism bug.
+	PushConflicts int64 `json:"push_conflicts"`
 	// Tier is present when the backend is tiered (RemoteBackend): the
 	// local/remote hit split, remote failure accounting, and the circuit
 	// breaker's state. Nil for single-tier backends.
@@ -71,6 +75,7 @@ const (
 	opGetRaw
 	opFetchRaw
 	opPut
+	opPush
 	opList
 	opLen
 	opStats
@@ -146,6 +151,10 @@ func (s *Storage) Stop() error {
 // ErrStopped reports a request against a stopped module.
 var ErrStopped = fmt.Errorf("service: module stopped")
 
+// ErrConflict reports a push whose outcome differs from the one already
+// stored under its key.
+var ErrConflict = fmt.Errorf("service: a different outcome is already stored under this key")
+
 // serve is the single goroutine owning the backend.
 func (s *Storage) serve() {
 	defer close(s.done)
@@ -174,13 +183,9 @@ func (s *Storage) serve() {
 			}
 			resp = storageResp{raw: raw, ok: ok, err: err}
 		case opPut:
-			err := s.backend.Put(ctx, req.spec, req.out)
-			if err == nil {
-				s.stats.Puts++
-				s.stale = true
-				err = s.maybeGC(ctx)
-			}
-			resp = storageResp{err: err}
+			resp = storageResp{err: s.put(ctx, req.spec, req.out)}
+		case opPush:
+			resp = storageResp{err: s.push(ctx, req.spec, req.key, req.out)}
 		case opList:
 			infos, err := s.backend.List(ctx)
 			resp = storageResp{infos: infos, err: err}
@@ -196,6 +201,44 @@ func (s *Storage) serve() {
 		cancel()
 		req.reply <- resp
 	}
+}
+
+// put writes a cell and, when caps are configured, trims the store.
+func (s *Storage) put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	if err := s.backend.Put(ctx, spec, out); err != nil {
+		return err
+	}
+	s.stats.Puts++
+	s.stale = true
+	return s.maybeGC(ctx)
+}
+
+// push writes a cell only if its key is not stored yet. A stored key
+// must already hold the same outcome bytes, and then nothing is written;
+// different bytes are ErrConflict.
+func (s *Storage) push(ctx context.Context, spec scenario.Spec, key string, out *scenario.Outcome) error {
+	stored, ok, err := s.readRaw(ctx, false, spec, key)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return s.put(ctx, spec, out)
+	}
+	pushed, err := json.Marshal(out)
+	if err != nil {
+		return fmt.Errorf("storage: encoding pushed outcome %s: %w", key, err)
+	}
+	// Disk cells hold indented JSON; compacted, they are the bytes
+	// json.Marshal writes for the same outcome.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, stored); err != nil {
+		return fmt.Errorf("storage: reading stored outcome %s: %w", key, err)
+	}
+	if !bytes.Equal(compact.Bytes(), pushed) {
+		s.stats.PushConflicts++
+		return ErrConflict
+	}
+	return nil
 }
 
 // readRaw resolves a key to undecoded outcome bytes: the backend's raw
@@ -309,6 +352,14 @@ func (s *Storage) FetchRaw(ctx context.Context, spec scenario.Spec, key string) 
 // cache tier in the same serialized step.
 func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	return s.call(storageReq{op: opPut, ctx: ctx, spec: spec, out: out}).err
+}
+
+// Push stores a computed cell unless its key is already stored: cells
+// are written once. Pushing the stored outcome again is a no-op; a
+// different outcome fails with ErrConflict and leaves the cell as it is.
+// The check and the write are one serialized step.
+func (s *Storage) Push(ctx context.Context, spec scenario.Spec, key string, out *scenario.Outcome) error {
+	return s.call(storageReq{op: opPush, ctx: ctx, spec: spec, key: key, out: out}).err
 }
 
 // List inspects the backend's cells.

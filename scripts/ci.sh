@@ -44,58 +44,33 @@ go test -run TestStoreGetRawAllocs ./internal/scenario
 # bars are asserted too.
 go test -run 'Golden|Lockstep|FixedPoint|BatchNetwork|Coordinat|ArbitrateRack|Migrate' . ./internal/sim ./internal/fleet ./internal/thermal ./internal/coord
 
-# Fleet-layer smoke: build and run the rack subcommand and the datacenter
-# example with fixed seeds on short horizons, and fail if either produces
-# no output. This gates the fleet topology layer end to end (CLI wiring,
-# shared inlet field, aggregation) alongside the unit tests above.
-fleet_out=$(go run ./cmd/experiments fleet -nodes 4 -seed 1 -duration 600)
-test -n "$fleet_out"
-echo "$fleet_out" | grep -q "rack:"
-
+# Datacenter example smoke: the thin fleet consumer must print both
+# control modes on its fixed seeds.
 dc_out=$(go run ./examples/datacenter)
 test -n "$dc_out"
 echo "$dc_out" | grep -q "fleet:"
 echo "$dc_out" | grep -q "coordinated:"
 
-# Coordinator smoke: a seeded fleetcoord run on a recirculation-heavy
-# rack must emit the rack summary and beat-or-tie local control's
-# violation metric (the subcommand computes the verdict from the same
-# outcome the table prints; the best-round fallback makes anything but
-# "true" a bug).
-coord_out=$(go run ./cmd/experiments fleetcoord -nodes 6 -seed 99 -duration 900 -recirc 0.03)
-echo "$coord_out" | grep -q "rack summary:"
-echo "$coord_out" | grep -q "verdict: coordinated beats-or-ties local violations: true"
-
-# Scenario-store smoke: the same seeded sweep twice into a temp store.
-# The first pass computes every cell; the second must be served entirely
-# from the content-addressed store (all hits, zero misses) with the
-# result rows bit-identical (only the cache column may differ).
-store_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir"' EXIT
-go run ./cmd/experiments sweep -ambients 30,33 -nseeds 1 -duration 300 -store "$store_dir" > "$store_dir/first.txt"
-grep -q "0 hits, 2 misses" "$store_dir/first.txt"
-go run ./cmd/experiments sweep -ambients 30,33 -nseeds 1 -duration 300 -store "$store_dir" > "$store_dir/second.txt"
-grep -q "2 hits, 0 misses" "$store_dir/second.txt"
-# (two plain substitutions — BRE alternation is GNU-only)
-sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$store_dir/first.txt" > "$store_dir/first.norm"
-sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$store_dir/second.txt" > "$store_dir/second.norm"
-diff "$store_dir/first.norm" "$store_dir/second.norm"
-
-# Coordinator store smoke: the comparison sweep twice into its own store
-# — the second pass must serve every coordinator cell from the store
-# (all hits) with identical comparison rows, and `store ls` must list
-# the cells it left behind.
-coord_store=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$coord_store"' EXIT
-go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/first.txt"
-grep -q "0 hits, 4 misses" "$coord_store/first.txt"
-go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/second.txt"
-grep -q "4 hits, 0 misses" "$coord_store/second.txt"
-sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/first.txt" > "$coord_store/first.norm"
-sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/second.txt" > "$coord_store/second.norm"
-diff "$coord_store/first.norm" "$coord_store/second.norm"
-ls_out=$(go run ./cmd/experiments store ls -store "$coord_store")
-echo "$ls_out" | grep -q "4 cell(s)"
+# Spec-run smoke: `scenariod run` executes golden-corpus specs in
+# process (a rack with a shared inlet field, the same kind of rack under
+# the global coordinator, and the Table III comparison) twice into a
+# temp store. The first pass simulates every cell (no "cached": true);
+# the second serves every cell from the content-addressed store, and the
+# printed outcomes are identical once the cached lines are dropped.
+# `store ls` must list the cells it left behind. The coordinator's
+# beats-or-ties verdict is pinned by TestCoordinatedBeatsOrTiesLocal and
+# TestCoordinatedImprovesRecircHeavyRack in the engine smoke above.
+run_dir=$(mktemp -d)
+trap 'rm -rf "$run_dir"' EXIT
+run_specs="testdata/golden/fleet-generated.json testdata/golden/fleetcoord-generated.json testdata/golden/exp-table3.json"
+go run ./cmd/scenariod run -store "$run_dir/cells" $run_specs > "$run_dir/first.json"
+test "$(grep -c '"state": "done"' "$run_dir/first.json")" = 3
+test "$(grep -c '"cached": true' "$run_dir/first.json")" = 0
+go run ./cmd/scenariod run -store "$run_dir/cells" $run_specs > "$run_dir/second.json"
+test "$(grep -c '"cached": true' "$run_dir/second.json")" = 3
+grep -v '"cached": true' "$run_dir/second.json" | diff "$run_dir/first.json" -
+ls_out=$(go run ./cmd/experiments store ls -store "$run_dir/cells")
+echo "$ls_out" | grep -q "3 cell(s)"
 echo "$ls_out" | grep -q "fleetcoord"
 
 # Faultsweep store smoke: a small graceful-degradation campaign crossing
@@ -109,7 +84,7 @@ echo "$ls_out" | grep -q "fleetcoord"
 # ticks — with identical verdict tables. The dominance verdict is the
 # robustness gate: voting may never degrade worse than the single chain.
 fault_store=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$coord_store" "$fault_store"' EXIT
+trap 'rm -rf "$run_dir" "$fault_store"' EXIT
 go run ./cmd/experiments faultsweep -targets single,fleetcoord -types placement,dropout,segment -severities 0.5 -stacks full,voting -duration 300 -store "$fault_store" > "$fault_store/first.txt"
 grep -q "0 hits, 14 misses" "$fault_store/first.txt"
 grep -q "verdict: voting dominates full: true" "$fault_store/first.txt"
@@ -127,7 +102,7 @@ diff "$fault_store/first.norm" "$fault_store/second.norm"
 # ground truth — an HTTP 200 alone wouldn't prove the dedup). SIGTERM
 # must produce a clean shutdown, not a killed process.
 svc_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$coord_store" "$fault_store" "$svc_dir"' EXIT
+trap 'rm -rf "$run_dir" "$fault_store" "$svc_dir"' EXIT
 go build -o "$svc_dir/scenariod" ./cmd/scenariod
 "$svc_dir/scenariod" serve -addr 127.0.0.1:0 -store "$svc_dir/cells" > "$svc_dir/serve.log" 2>&1 &
 svc_pid=$!
@@ -174,7 +149,7 @@ grep -q "clean shutdown" "$svc_dir/serve.log"
 # keep accepting submits after the leader is killed, with the degraded
 # counters visible in /v1/stats.
 tier_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$coord_store" "$fault_store" "$svc_dir" "$tier_dir"' EXIT
+trap 'rm -rf "$run_dir" "$fault_store" "$svc_dir" "$tier_dir"' EXIT
 "$svc_dir/scenariod" serve -addr 127.0.0.1:0 -store "$tier_dir/leader-cells" > "$tier_dir/leader.log" 2>&1 &
 leader_pid=$!
 for _ in $(seq 1 50); do
@@ -225,7 +200,7 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# BENCH_PR13.json baseline via benchjson -compare (the gate ratchets: each PR
+# BENCH_PR14.json baseline via benchjson -compare (the gate ratchets: each PR
 # appends BENCH_PR<n>.json and the next gates against it). The
 # threshold is deliberately wide (60%): this 1-core shared container
 # drifts 15-35% between sessions on bit-identical hot paths (measured
@@ -233,5 +208,5 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # catches real blowups, and allocs/op regressions — which are
 # deterministic — are judged by the same factor against integer counts,
 # so any alloc creep on a 0-alloc path fails regardless.
-go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$store_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR13.json -threshold 0.60 < "$store_dir/bench.out"
+go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$run_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR14.json -threshold 0.60 < "$run_dir/bench.out"
