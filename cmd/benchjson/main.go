@@ -13,9 +13,16 @@
 // ignored) pass through silently, so the tool can sit at the end of any
 // bench pipeline.
 //
+// Repeated result lines of one benchmark (`go test -count N`) fold into
+// one result: every value is the median of the samples, and the fastest
+// sample's ns/op is kept beside it. One sample of a shared machine can
+// read tens of percent off; the median of several is what a baseline
+// and a comparison should hold.
+//
 // With -compare, the freshly parsed results are diffed against a
 // previously committed baseline: one line per benchmark present in both
-// documents with the ns/op and allocs/op deltas, then a non-zero exit if
+// documents with the (median) ns/op and allocs/op deltas, then a
+// non-zero exit if
 // any benchmark regressed by more than -threshold (default 15%) in wall
 // time or allocations. Benchmarks present on only one side are listed but
 // never fail the comparison (patterns evolve across PRs).
@@ -27,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -44,6 +52,11 @@ type Result struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds every other reported unit (e.g. "ticks/s").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Samples counts the result lines folded into this one (go test
+	// -count N); every value above is then their median, and MinNsPerOp
+	// is the fastest sample. Both are absent for a single line.
+	Samples    int     `json:"samples,omitempty"`
+	MinNsPerOp float64 `json:"min_ns_per_op,omitempty"`
 }
 
 // Document is the file layout.
@@ -99,6 +112,83 @@ func parseLine(line string) (Result, bool) {
 		return Result{}, false
 	}
 	return r, true
+}
+
+// fold merges the results that share a name into one per benchmark, in
+// first-seen order: the median of each value over the samples, plus the
+// fastest ns/op.
+func fold(results []Result) []Result {
+	var order []string
+	byName := make(map[string][]Result)
+	for _, r := range results {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		m := Result{Name: name, Samples: len(rs), MinNsPerOp: rs[0].NsPerOp}
+		var iters, ns, bytes, allocs []float64
+		units := make(map[string]bool)
+		for _, r := range rs {
+			iters = append(iters, float64(r.Iterations))
+			ns = append(ns, r.NsPerOp)
+			m.MinNsPerOp = min(m.MinNsPerOp, r.NsPerOp)
+			if r.BytesPerOp != nil {
+				bytes = append(bytes, *r.BytesPerOp)
+			}
+			if r.AllocsPerOp != nil {
+				allocs = append(allocs, *r.AllocsPerOp)
+			}
+			for unit := range r.Metrics {
+				units[unit] = true
+			}
+		}
+		m.Iterations = int64(median(iters))
+		m.NsPerOp = median(ns)
+		m.BytesPerOp = medianOf(bytes)
+		m.AllocsPerOp = medianOf(allocs)
+		for unit := range units {
+			var vs []float64
+			for _, r := range rs {
+				if v, ok := r.Metrics[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			if m.Metrics == nil {
+				m.Metrics = make(map[string]float64, len(units))
+			}
+			m.Metrics[unit] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the middle two for
+// an even count); vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// medianOf is median for an optional value: nil when no sample had it.
+func medianOf(vs []float64) *float64 {
+	if len(vs) == 0 {
+		return nil
+	}
+	m := median(vs)
+	return &m
 }
 
 // compare diffs the fresh results against a baseline document and
@@ -185,6 +275,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
 	}
+	doc.Benchmarks = fold(doc.Benchmarks)
 	if *comparePath != "" {
 		b, err := os.ReadFile(*comparePath)
 		if err != nil {

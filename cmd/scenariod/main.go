@@ -106,7 +106,7 @@ func serveCmd(args []string) error {
 	maxCells := fs.Int("maxcells", 0, "cache cap: max stored cells (0 = unbounded)")
 	maxBytes := fs.Int64("maxbytes", 0, "cache cap: max summed cell bytes (0 = unbounded)")
 	remote := fs.String("remote", "", "shared-tier scenariod to front (host:port; empty = single tier)")
-	remoteTimeout := fs.Duration("remote-timeout", 0, "per-call remote deadline (0 = 5s default)")
+	remoteTimeout := fs.Duration("remote-timeout", 0, "per-round-trip remote deadline; a simulation the remote accepted is waited on past it (0 = 5s default)")
 	remoteSync := fs.Bool("remote-sync", false, "write through to the remote synchronously on puts")
 	if err := fs.Parse(args); err != nil {
 		return err

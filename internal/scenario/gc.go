@@ -59,8 +59,9 @@ type gcCandidate struct {
 // first, lexicographically smallest key on ties. The walk tolerates a
 // concurrently deleted cell (another GC, a manual rm) by skipping it;
 // a concurrent Put may land after the snapshot, so a caller that needs
-// a hard bound re-runs GC (the scenariod storage module serializes Put
-// and GC on one goroutine, which closes that window).
+// a hard bound re-runs GC (the scenariod storage module holds one write
+// lock across a Put and its GC pass, and runs another pass after each
+// read-through write-back, which lands outside that lock).
 func (st *Store) GC(cfg GCConfig) (GCResult, error) {
 	var res GCResult
 	if err := cfg.validate(); err != nil {

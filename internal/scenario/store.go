@@ -226,7 +226,8 @@ type CellInfo struct {
 // List inspects every cell in the store, sorted by key. Cells written by
 // other format versions are still listed (with their stored version) —
 // inspection sees what is on disk, unlike Get, which treats them as
-// misses.
+// misses. A cell removed while the listing runs (a concurrent GC) is
+// left out.
 func (st *Store) List() ([]CellInfo, error) {
 	keys, err := st.Keys()
 	if err != nil {
@@ -235,6 +236,9 @@ func (st *Store) List() ([]CellInfo, error) {
 	infos := make([]CellInfo, 0, len(keys))
 	for _, key := range keys {
 		b, err := os.ReadFile(st.path(key))
+		if os.IsNotExist(err) {
+			continue // evicted since the directory read, as GC tolerates
+		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: inspecting store cell %s: %w", key, err)
 		}

@@ -14,13 +14,15 @@ import (
 // on-disk content-addressed scenario.Store is the canonical backend; an
 // in-memory backend ships for tests and ephemeral daemons; RemoteBackend
 // fronts either with a shared tier on another scenariod. Every method
-// takes a context: the storage module derives a per-request deadline
-// before each call, so a backend that does I/O (disk, network) can be
-// cancelled instead of wedging the serving goroutine.
+// takes a context, so a backend that does I/O (disk, network) can be
+// cancelled: reads run under the caller's, and the storage module bounds
+// the calls it makes under its write lock.
 //
-// Backends are accessed from the storage module's single goroutine, so
-// implementations need no internal locking for daemon use — but the
-// in-memory backend locks anyway, because tests hit backends directly.
+// Backends are safe for concurrent use: the storage module calls them
+// from many goroutines at once and serializes only its own writes, while
+// a tiered backend's read-through writes back into its local tier with no
+// lock held. StoreBackend is safe by its temp-file + rename writes (a
+// reader sees a whole cell or none), MemBackend by its own mutex.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string

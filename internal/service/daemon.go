@@ -26,8 +26,9 @@ type Config struct {
 	// and puts write through. A down or slow remote degrades this daemon
 	// to local-only — it never fails a submit.
 	Remote string
-	// RemoteTimeout bounds each remote call; zero selects the
-	// RemoteBackend default (5s).
+	// RemoteTimeout bounds each remote round trip; zero selects the
+	// RemoteBackend default (5s). A simulation the remote has accepted is
+	// waited on without it (see RemoteBackend.Fetch).
 	RemoteTimeout time.Duration
 	// RemoteSync makes puts block on the write-through instead of
 	// queueing it to the background writer.
@@ -70,7 +71,10 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	if cfg.Remote != "" {
-		rc := NewClient(cfg.Remote, WithTimeout(cfg.RemoteTimeout))
+		// The client keeps its default timeout: RemoteBackend bounds each
+		// round trip itself, and RemoteTimeout must not bound the wait on
+		// a simulation the remote has accepted.
+		rc := NewClient(cfg.Remote)
 		backend = NewRemoteBackend(backend, rc,
 			RemoteTimeout(cfg.RemoteTimeout), RemoteSyncWrites(cfg.RemoteSync))
 	}
@@ -101,7 +105,7 @@ func New(cfg Config) (*Daemon, error) {
 func (d *Daemon) Start() error { return d.coord.Start() }
 
 // Stop tears the modules down in reverse: the API stops accepting,
-// the queue drains, storage serves the queue's final Puts, then closes.
+// the queue drains (its final Puts land), then storage refuses calls.
 // A closable backend (RemoteBackend's background writer) is closed
 // last, after nothing can reach it.
 func (d *Daemon) Stop() error {

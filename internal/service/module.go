@@ -11,7 +11,7 @@
 // Coordinator interface — so subsystems compose declaratively and stop
 // in reverse start order:
 //
-//	storage  — owns the Backend, serialized behind a request/reply channel
+//	storage  — owns the Backend: lock-free reads, one lock over writes
 //	queue    — N sharded workers, in-flight dedup (singleflight)
 //	http     — the /v1/scenarios API surface
 //

@@ -329,7 +329,7 @@ func (c *countingBackend) List(ctx context.Context) ([]scenario.CellInfo, error)
 
 // TestNotFoundDoesNotList: a 404 on a daemon that never put reads only
 // the breaker state; it used to run a full listing (decoding every cell)
-// on the storage goroutine to refresh the footprint.
+// to refresh the footprint.
 func TestNotFoundDoesNotList(t *testing.T) {
 	cb := &countingBackend{Backend: NewMemBackend()}
 	d := startDaemon(t, Config{Backend: cb})

@@ -22,16 +22,20 @@ import (
 //
 // The headline guarantee is the failure semantics: remote trouble can
 // only cost cache hits, never correctness or availability. Every remote
-// call carries a bounded deadline; a run of consecutive failures trips
-// a circuit breaker that degrades the daemon to local-only, with timed
+// round trip carries a bounded deadline, except the wait on a simulation
+// the remote has accepted, which runs under the caller's context: a busy
+// remote is not a down one. Only transport errors, missed deadlines and
+// 5xx responses count as failures; a run of consecutive failures trips a
+// circuit breaker that degrades the daemon to local-only, with timed
 // half-open probes to recover; write-through retries with jittered
-// backoff and swallows terminal errors. No remote outcome — down, slow,
-// erroring — ever fails a Get, Fetch, or Put.
+// backoff and swallows terminal errors. No remote outcome — down,
+// erroring, or answering 4xx — ever fails a Get, Fetch, or Put.
 type RemoteBackend struct {
 	local  Backend
 	client *Client
 
-	// timeout bounds each remote call (Get/Fetch/Push attempt).
+	// timeout bounds each remote round trip (Get, Push attempt, and
+	// Fetch's submit) but not Fetch's wait on an accepted simulation.
 	timeout time.Duration
 	// sync makes Put block on the write-through instead of queueing it.
 	sync bool
@@ -69,8 +73,9 @@ type TierStats struct {
 	// RemoteMisses counts healthy remote round trips that found nothing
 	// (the key exists nowhere in the fleet yet).
 	RemoteMisses int64 `json:"remote_misses"`
-	// RemoteErrors counts failed remote calls (timeouts, transport
-	// errors, non-404 statuses) across reads and write-throughs.
+	// RemoteErrors counts remote calls that failed on the remote's side
+	// (transport errors, missed deadlines, 5xx statuses) across reads and
+	// write-throughs: the failures the breaker counts.
 	RemoteErrors int64 `json:"remote_errors"`
 	// DegradedSkips counts remote calls not even attempted because the
 	// breaker was open — the local-only operating mode at work.
@@ -97,7 +102,9 @@ type TierStatter interface {
 // RemoteOption shapes a RemoteBackend.
 type RemoteOption func(*RemoteBackend)
 
-// RemoteTimeout bounds each remote call; the default is 5s.
+// RemoteTimeout bounds each remote round trip; the default is 5s. Fetch's
+// wait on a simulation the remote has accepted is not bounded by it (see
+// Fetch).
 func RemoteTimeout(d time.Duration) RemoteOption {
 	return func(r *RemoteBackend) {
 		if d > 0 {
@@ -209,13 +216,11 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 	st, err := r.client.Get(rctx, key)
 	cancel()
 	if err != nil {
+		r.remoteError(ctx, err)
 		if IsNotFound(err) {
 			// A 404 is a healthy remote that simply doesn't have the key.
-			r.br.success()
 			r.count(func(st *TierStats) { st.RemoteMisses++ })
-			return nil, false, nil
 		}
-		r.remoteFailure()
 		return nil, false, nil
 	}
 	r.br.success()
@@ -246,10 +251,14 @@ func (r *RemoteBackend) GetRaw(ctx context.Context, key string) (json.RawMessage
 }
 
 // Fetch resolves a miss with the spec in hand: local first, then a
-// blocking submit to the remote daemon — the remote simulates (its
-// singleflight dedups across every daemon fetching the same spec) and
-// the outcome is write-backed locally. Remote trouble returns a miss so
-// the local worker runs the simulation itself.
+// submit to the remote daemon, and the outcome is written back locally.
+// A remote hit answers that submit in one round trip. Otherwise the
+// remote accepts the spec into its queue (its singleflight dedups across
+// every daemon fetching the same spec), and Fetch waits for the
+// simulation with a second, coalescing submit that only the caller's
+// context bounds: a remote that answered within the deadline is busy,
+// not down, and a slow simulation there is not a failure. Remote trouble
+// returns a miss so the local worker runs the simulation itself.
 func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
 	out, ok, err := r.local.Get(ctx, key)
 	if err != nil || ok {
@@ -263,10 +272,13 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 		return nil, false, nil
 	}
 	rctx, cancel := context.WithTimeout(ctx, r.timeout)
-	st, err := r.client.Submit(rctx, spec, true)
+	st, err := r.client.Submit(rctx, spec, false)
 	cancel()
+	if err == nil && (st.State == StateQueued || st.State == StateRunning) {
+		st, err = r.client.Submit(ctx, spec, true)
+	}
 	if err != nil {
-		r.remoteFailure()
+		r.remoteError(ctx, err)
 		return nil, false, nil
 	}
 	r.br.success()
@@ -297,8 +309,9 @@ func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenar
 	select {
 	case r.writes <- writeThrough{spec: spec, out: out}:
 	default:
-		// Full queue: drop rather than block the storage goroutine. The
-		// cell is safe locally; only the shared tier misses it.
+		// Full queue: drop rather than block the writer behind the
+		// storage lock. The cell is safe locally; only the shared tier
+		// misses it.
 		r.count(func(st *TierStats) { st.WriteDropped++ })
 	}
 	return nil
@@ -320,9 +333,10 @@ func (r *RemoteBackend) writer() {
 
 // pushRetry attempts the remote write up to retries times with jittered
 // exponential backoff, honoring the breaker. Terminal failure is
-// counted, never returned. A conflict (the remote already stores a
-// different outcome) is terminal at once: the remote answered, so the
-// breaker sees a success, and a retry would only conflict again.
+// counted, never returned. A 4xx — a conflict among them: the remote
+// already stores a different outcome — is terminal at once: the remote
+// answered, so the breaker sees a success, and a retry would only be
+// refused again.
 func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) {
 	delay := r.backoff
 	for attempt := 0; attempt < r.retries; attempt++ {
@@ -341,11 +355,9 @@ func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *
 			r.count(func(st *TierStats) { st.WriteThroughs++ })
 			return
 		}
-		if se, ok := err.(*StatusError); ok && se.APICode == CodeConflict {
-			r.br.success()
+		if !r.remoteError(ctx, err) {
 			break
 		}
-		r.remoteFailure()
 		if attempt < r.retries-1 {
 			// Jitter the backoff off the wall clock's low bits so
 			// synchronized retry storms decorrelate.
@@ -400,10 +412,23 @@ func (r *RemoteBackend) count(f func(*TierStats)) {
 	r.mu.Unlock()
 }
 
-// remoteFailure records one failed remote call.
-func (r *RemoteBackend) remoteFailure() {
+// remoteError accounts a failed remote call made under the caller's ctx
+// and reports whether it was a failure of the remote: a transport error,
+// a missed deadline or a 5xx, which feed the breaker and RemoteErrors. A
+// 4xx is the answer of a healthy remote (a breaker success), and a call
+// whose caller went away says nothing about the remote either way.
+func (r *RemoteBackend) remoteError(ctx context.Context, err error) bool {
+	if ctx.Err() != nil {
+		r.br.release()
+		return false
+	}
+	if se, ok := err.(*StatusError); ok && se.Code < 500 {
+		r.br.success()
+		return false
+	}
 	r.br.failure()
 	r.count(func(st *TierStats) { st.RemoteErrors++ })
+	return true
 }
 
 // breakerState enumerates the circuit breaker's states.
@@ -487,6 +512,14 @@ func (b *breaker) success() {
 		b.degradedTotal += b.now().Sub(b.degradedSince)
 		b.cur = breakerClosed
 	}
+}
+
+// release ends a call that proved nothing about the remote (its caller
+// went away): a half-open probe slot is freed for the next caller.
+func (b *breaker) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // failure records a failed remote call: threshold consecutive failures

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -676,5 +677,211 @@ func TestPushCannotOverwriteStoredOutcome(t *testing.T) {
 				t.Errorf("follower pushed the conflicting cell %d times, want 1 (no retry)", n)
 			}
 		})
+	}
+}
+
+// startLeader starts a leader daemon whose simulations run through run,
+// which the test supplies in place of scenario.Run.
+func startLeader(t *testing.T, run func(scenario.Spec) (*scenario.Outcome, error)) *Daemon {
+	t.Helper()
+	d, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Queue().run = run
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := d.Stop(); err != nil {
+			t.Errorf("stopping leader: %v", err)
+		}
+	})
+	return d
+}
+
+// TestLocalHitNotBehindLeader: while the follower waits on a leader
+// simulation, a key in its local tier still answers at once. The
+// follower's storage reads hold no lock, so the wait blocks only the
+// request that delegated the simulation.
+func TestLocalHitNotBehindLeader(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	leader := startLeader(t, func(spec scenario.Spec) (*scenario.Outcome, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return scenario.Run(spec)
+	})
+	local := NewMemBackend()
+	hit := testSpec(30)
+	out, err := scenario.Run(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Put(ctx, hit, out); err != nil {
+		t.Fatal(err)
+	}
+	follower := startDaemon(t, Config{Backend: local, Remote: leader.BaseURL()})
+	fc := NewClient(follower.BaseURL())
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	defer unblock() // before the cleanups stop the daemons
+
+	slow := make(chan error, 1)
+	go func() {
+		_, err := fc.Submit(ctx, testSpec(31), true)
+		slow <- err
+	}()
+	<-started
+
+	answered := make(chan JobStatus, 1)
+	begin := time.Now()
+	go func() {
+		st, err := fc.Submit(ctx, hit, false)
+		if err != nil {
+			t.Errorf("local hit: %v", err)
+		}
+		answered <- st
+	}()
+	select {
+	case st := <-answered:
+		if st.State != StateDone || !st.Cached {
+			t.Errorf("local hit = %+v, want a cached done", st)
+		}
+		t.Logf("local hit answered in %v behind a held leader simulation", time.Since(begin))
+	case <-time.After(250 * time.Millisecond):
+		t.Error("local hit still waiting after 250ms behind a held leader simulation")
+		unblock()
+		<-answered
+	}
+	unblock()
+	if err := <-slow; err != nil {
+		t.Errorf("delegated submit: %v", err)
+	}
+}
+
+// TestCappedFollowerReadThroughKeepsCap: keys read through from the
+// leader are written back into a capped follower's local tier, and the
+// follower's cap pass runs after each write-back, as after a Put. The
+// write-back is not a Put: nothing is pushed back to the leader.
+func TestCappedFollowerReadThroughKeepsCap(t *testing.T) {
+	const keys, maxCells = 5, 2
+	for _, local := range []string{"mem", "disk"} {
+		t.Run(local, func(t *testing.T) {
+			leader := startDaemon(t, Config{})
+			lc := NewClient(leader.BaseURL())
+			specs := make([]scenario.Spec, keys)
+			for i := range specs {
+				specs[i] = testSpec(32 + float64(i))
+				if _, err := lc.Submit(ctx, specs[i], true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := Config{Remote: leader.BaseURL(), MaxCells: maxCells}
+			if local == "disk" {
+				cfg.StoreDir = t.TempDir()
+			}
+			follower := startDaemon(t, cfg)
+			fc := NewClient(follower.BaseURL())
+			for _, spec := range specs {
+				st, err := fc.Submit(ctx, spec, true)
+				if err != nil || st.State != StateDone || !st.Cached {
+					t.Fatalf("read-through submit = %+v, %v; want a cached done", st, err)
+				}
+			}
+
+			n, err := follower.Storage().Len(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := fc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > maxCells || sr.Storage.Evicted != keys-maxCells {
+				t.Errorf("follower holds %d cells, evicted %d; want <= %d and %d evicted",
+					n, sr.Storage.Evicted, maxCells, keys-maxCells)
+			}
+			if sr.Storage.Puts != 0 || sr.Storage.Cells != int64(n) {
+				t.Errorf("follower stats %d puts / %d cells, want 0 / %d", sr.Storage.Puts, sr.Storage.Cells, n)
+			}
+			if tier := sr.Storage.Tier; tier == nil || tier.RemoteHits != keys || tier.WriteThroughs != 0 {
+				t.Errorf("follower tier stats %+v, want %d remote hits and no write-throughs", tier, keys)
+			}
+			if sims := follower.Queue().Stats().Simulated; sims != 0 {
+				t.Errorf("follower simulated %d, want 0", sims)
+			}
+		})
+	}
+}
+
+// TestBusyLeaderIsNotDown: a leader simulation that outlasts the remote
+// timeout is waited on, not counted as a failure. The follower neither
+// re-simulates the cell nor trips its breaker, and the fleet simulates
+// each spec once, on the leader.
+func TestBusyLeaderIsNotDown(t *testing.T) {
+	leader := startLeader(t, func(spec scenario.Spec) (*scenario.Outcome, error) {
+		time.Sleep(200 * time.Millisecond)
+		return scenario.Run(spec)
+	})
+	follower := startDaemon(t, Config{Remote: leader.BaseURL(), RemoteTimeout: 50 * time.Millisecond})
+	fc := NewClient(follower.BaseURL())
+	for i := 0; i < 3; i++ {
+		st, err := fc.Submit(ctx, testSpec(37+float64(i)), true)
+		if err != nil || st.State != StateDone {
+			t.Fatalf("submit %d through the follower = %+v, %v", i, st, err)
+		}
+	}
+	sr, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := sr.Storage.Tier
+	if tier == nil || tier.BreakerOpens != 0 || tier.RemoteErrors != 0 || tier.RemoteHits != 3 {
+		t.Errorf("follower tier stats %+v, want 0 breaker opens, 0 remote errors, 3 remote hits", tier)
+	}
+	if sims := follower.Queue().Stats().Simulated; sims != 0 {
+		t.Errorf("follower simulated %d, want 0", sims)
+	}
+	if sims := leader.Queue().Stats().Simulated; sims != 3 {
+		t.Errorf("leader simulated %d, want 3", sims)
+	}
+}
+
+// TestCallerGoneIsNotRemoteFailure: a caller that gives up while the
+// leader simulates for it says nothing about the leader. The Fetch
+// reports a miss, and neither the breaker nor RemoteErrors counts it.
+func TestCallerGoneIsNotRemoteFailure(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	leader := startLeader(t, func(spec scenario.Spec) (*scenario.Outcome, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return scenario.Run(spec)
+	})
+	defer close(release)
+	rb := NewRemoteBackend(NewMemBackend(), NewClient(leader.BaseURL()),
+		RemoteTimeout(50*time.Millisecond), RemoteBreaker(1, time.Hour))
+	defer func() {
+		if err := rb.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	spec := testSpec(40)
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	go func() {
+		<-started
+		cancel()
+	}()
+	if out, ok, err := rb.Fetch(cctx, spec, key); err != nil || ok || out != nil {
+		t.Fatalf("Fetch with the caller gone = %v, %v, %v; want a plain miss", out, ok, err)
+	}
+	if st := rb.TierStats(); st.RemoteErrors != 0 || st.BreakerState != "closed" {
+		t.Errorf("tier stats after the caller left: %+v, want 0 remote errors and a closed breaker", st)
 	}
 }

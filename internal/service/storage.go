@@ -5,46 +5,53 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// defaultReqTimeout bounds one backend operation inside the storage
-// serve loop. Local backends finish in microseconds; the bound exists
-// for tiered backends whose Get/Fetch may cross the network (those also
-// apply their own, tighter remote deadline).
-const defaultReqTimeout = 30 * time.Second
+// writeTimeout bounds each backend call made under the write lock, so a
+// stuck backend cannot hold every writer behind it. Local backends finish
+// in microseconds; tiered backends also apply their own, tighter remote
+// deadline.
+const writeTimeout = 30 * time.Second
 
-// Storage is the storage module: it owns the Backend and serializes
-// every access through a request/reply channel served by one goroutine
-// (the coop/storage pattern). Serialization is what makes the cache-cap
-// contract simple — a Put and the GC pass it triggers are one atomic
-// step from every other module's point of view, and backends need no
-// locking of their own.
+// Storage is the storage module: it owns the Backend and calls it
+// directly from the caller's goroutine. Backends are safe for concurrent
+// use (see Backend), so reads — Get, GetRaw, FetchRaw, List, Len — take
+// no storage lock, and a FetchRaw that reads through to a tiered
+// backend's remote, or waits there on a delegated simulation, blocks only
+// its own caller.
 //
-// Every public method takes the caller's context; the serve loop derives
-// a per-request deadline (ReqTimeout) under it before touching the
-// backend, so a stuck or slow backend call is cancelled instead of
-// wedging the goroutine for everyone behind it.
+// One mutex, the write lock, covers the steps that must be atomic: a Put
+// and the GC pass it triggers (the cache-cap contract), a Push's
+// stored-bytes check and its write (cells are written once), and Stats
+// with its refresh of a stale footprint. Two remote round trips still run
+// inside a write on a tiered backend: a Push's check reads through to the
+// remote (so a push cannot plant a cell the fleet already holds), and
+// with -remote-sync a Put's write-through waits on the remote. Each is
+// bounded by the remote deadline, and each blocks writers only.
 type Storage struct {
 	backend Backend
 	// gc caps the cache tier; the zero value disables eviction.
 	gc scenario.GCConfig
-	// ReqTimeout bounds each backend call made by the serve loop; zero
-	// selects defaultReqTimeout. Set before Configure.
-	ReqTimeout time.Duration
 
-	reqs chan storageReq
-	done chan struct{}
-
-	// stats are owned by the serving goroutine.
+	// mu is the write lock; stats' write counters and footprint are
+	// guarded by it.
+	mu    sync.Mutex
 	stats StorageStats
+	// gets/hits count reads, which hold no lock.
+	gets, hits atomic.Int64
 	// stale marks stats.Cells/Bytes as out of date: true until the first
-	// footprint is taken, and again after every uncapped Put. Stats
-	// refreshes a stale footprint with one listing, so a Put never lists
-	// the backend and polling Stats between Puts lists nothing.
-	stale bool
+	// footprint is taken, and again after every uncapped Put or
+	// read-through write-back. Stats refreshes a stale footprint with one
+	// listing, so a Put never lists the backend and polling Stats between
+	// Puts lists nothing.
+	stale atomic.Bool
+	// stopped fails every call after Stop with ErrStopped.
+	stopped atomic.Bool
 }
 
 // StorageStats accounts the storage module's traffic.
@@ -54,8 +61,8 @@ type StorageStats struct {
 	Puts    int64 `json:"puts"`
 	Evicted int64 `json:"evicted"`
 	// Cells / Bytes are the backend footprint as of the last Stats after
-	// a Put (one listing, taken on demand), or from the last GC pass when
-	// caps are configured.
+	// a write (one listing, taken on demand), or from the last GC pass
+	// when caps are configured.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// PushConflicts counts pushes refused because a different outcome is
@@ -67,53 +74,19 @@ type StorageStats struct {
 	Tier *TierStats `json:"tier,omitempty"`
 }
 
-// storageOp selects the request kind.
-type storageOp int
-
-const (
-	opGet storageOp = iota
-	opGetRaw
-	opFetchRaw
-	opPut
-	opPush
-	opList
-	opLen
-	opStats
-)
-
-// storageReq is one request into the serving goroutine; the reply
-// channel is buffered so the server never blocks on a dead client.
-type storageReq struct {
-	op    storageOp
-	ctx   context.Context
-	key   string
-	spec  scenario.Spec
-	out   *scenario.Outcome
-	reply chan storageResp
-}
-
-type storageResp struct {
-	out   *scenario.Outcome
-	raw   json.RawMessage
-	ok    bool
-	infos []scenario.CellInfo
-	n     int
-	stats StorageStats
-	err   error
-}
-
 // NewStorage builds the storage module over a backend. gc caps the
 // cache tier (zero = unbounded); a capped configuration needs a backend
 // implementing GCBackend.
 func NewStorage(backend Backend, gc scenario.GCConfig) *Storage {
-	return &Storage{backend: backend, gc: gc, stale: true}
+	s := &Storage{backend: backend, gc: gc}
+	s.stale.Store(true)
+	return s
 }
 
 // Name implements Module.
 func (s *Storage) Name() string { return "storage" }
 
-// Configure validates the backend/cap combination and allocates the
-// request plumbing.
+// Configure validates the backend/cap combination.
 func (s *Storage) Configure() error {
 	if s.backend == nil {
 		return fmt.Errorf("storage: nil backend")
@@ -126,25 +99,18 @@ func (s *Storage) Configure() error {
 			return fmt.Errorf("storage: backend %s does not support eviction (cache caps need a GCBackend)", s.backend.Name())
 		}
 	}
-	if s.ReqTimeout == 0 {
-		s.ReqTimeout = defaultReqTimeout
-	}
-	s.reqs = make(chan storageReq)
-	s.done = make(chan struct{})
 	return nil
 }
 
-// Start launches the serving goroutine.
-func (s *Storage) Start() error {
-	go s.serve()
-	return nil
-}
+// Start implements Module; the module has no goroutine of its own.
+func (s *Storage) Start() error { return nil }
 
-// Stop closes the intake and waits for the server to drain. Requests
-// after Stop fail with ErrStopped.
+// Stop fails every later call with ErrStopped, then waits out the write
+// in flight, if any, by taking the write lock.
 func (s *Storage) Stop() error {
-	close(s.reqs)
-	<-s.done
+	s.stopped.Store(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return nil
 }
 
@@ -155,67 +121,41 @@ var ErrStopped = fmt.Errorf("service: module stopped")
 // stored under its key.
 var ErrConflict = fmt.Errorf("service: a different outcome is already stored under this key")
 
-// serve is the single goroutine owning the backend.
-func (s *Storage) serve() {
-	defer close(s.done)
-	for req := range s.reqs {
-		// Per-request deadline: the caller's context (already cancelled
-		// if the client went away) capped by the module bound.
-		base := req.ctx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, s.ReqTimeout)
-		var resp storageResp
-		switch req.op {
-		case opGet:
-			out, ok, err := s.backend.Get(ctx, req.key)
-			s.stats.Gets++
-			if ok {
-				s.stats.Hits++
-			}
-			resp = storageResp{out: out, ok: ok, err: err}
-		case opGetRaw, opFetchRaw:
-			raw, ok, err := s.readRaw(ctx, req.op == opFetchRaw, req.spec, req.key)
-			s.stats.Gets++
-			if ok {
-				s.stats.Hits++
-			}
-			resp = storageResp{raw: raw, ok: ok, err: err}
-		case opPut:
-			resp = storageResp{err: s.put(ctx, req.spec, req.out)}
-		case opPush:
-			resp = storageResp{err: s.push(ctx, req.spec, req.key, req.out)}
-		case opList:
-			infos, err := s.backend.List(ctx)
-			resp = storageResp{infos: infos, err: err}
-		case opLen:
-			n, err := s.backend.Len(ctx)
-			resp = storageResp{n: n, err: err}
-		case opStats:
-			if s.stale {
-				s.refreshFootprint(ctx)
-			}
-			resp = storageResp{stats: s.statsSnapshot()}
-		}
-		cancel()
-		req.reply <- resp
+// write runs f under the write lock with a context bounded by
+// writeTimeout, or returns ErrStopped once Stop has begun.
+func (s *Storage) write(ctx context.Context, f func(context.Context) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped.Load() {
+		return ErrStopped
+	}
+	ctx, cancel := context.WithTimeout(ctx, writeTimeout)
+	defer cancel()
+	return f(ctx)
+}
+
+// countRead accounts one read.
+func (s *Storage) countRead(ok bool) {
+	s.gets.Add(1)
+	if ok {
+		s.hits.Add(1)
 	}
 }
 
 // put writes a cell and, when caps are configured, trims the store.
+// The caller holds the write lock.
 func (s *Storage) put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	if err := s.backend.Put(ctx, spec, out); err != nil {
 		return err
 	}
 	s.stats.Puts++
-	s.stale = true
+	s.stale.Store(true)
 	return s.maybeGC(ctx)
 }
 
 // push writes a cell only if its key is not stored yet. A stored key
 // must already hold the same outcome bytes, and then nothing is written;
-// different bytes are ErrConflict.
+// different bytes are ErrConflict. The caller holds the write lock.
 func (s *Storage) push(ctx context.Context, spec scenario.Spec, key string, out *scenario.Outcome) error {
 	stored, ok, err := s.readRaw(ctx, false, spec, key)
 	if err != nil {
@@ -258,6 +198,9 @@ func (s *Storage) readRaw(ctx context.Context, fetch bool, spec scenario.Spec, k
 	var err error
 	if f, tiered := s.backend.(Fetcher); fetch && tiered {
 		out, ok, err = f.Fetch(ctx, spec, key)
+		if err == nil && ok {
+			s.wroteBack(ctx)
+		}
 	} else {
 		out, ok, err = s.backend.Get(ctx, key)
 	}
@@ -271,19 +214,22 @@ func (s *Storage) readRaw(ctx context.Context, fetch bool, spec scenario.Spec, k
 	return raw, true, nil
 }
 
-// statsSnapshot copies the counters and attaches the tier split when the
-// backend keeps one.
-func (s *Storage) statsSnapshot() StorageStats {
-	st := s.stats
-	if ts, ok := s.backend.(TierStatter); ok {
-		tier := ts.TierStats()
-		st.Tier = &tier
+// wroteBack accounts a hit a tiered backend's Fetch answered. Past a
+// raw-hook miss that hit is a read-through, which wrote the remote's
+// cell back into the local tier (nothing is pushed back to the remote);
+// without a raw hook it may be a local hit, and the pass below finds
+// nothing to do. The footprint is stale, and a capped store runs its cap
+// pass under the write lock, as after a Put. A failed pass is not the
+// read's failure; the next write's pass retries it.
+func (s *Storage) wroteBack(ctx context.Context) {
+	s.stale.Store(true)
+	if s.gc.Enabled() {
+		_ = s.write(ctx, s.maybeGC)
 	}
-	return st
 }
 
 // maybeGC runs an eviction pass when caps are configured; the pass's
-// result is the fresh footprint.
+// result is the fresh footprint. The caller holds the write lock.
 func (s *Storage) maybeGC(ctx context.Context) error {
 	if !s.gc.Enabled() {
 		return nil
@@ -295,97 +241,119 @@ func (s *Storage) maybeGC(ctx context.Context) error {
 	s.stats.Evicted += int64(len(res.Evicted))
 	s.stats.Cells = int64(res.Remaining)
 	s.stats.Bytes = res.RemainingBytes
-	s.stale = false
+	s.stale.Store(false)
 	return nil
 }
 
 // refreshFootprint recomputes the Cells/Bytes snapshot from a listing.
+// The flag is cleared first, so a write-back that lands during the
+// listing leaves it set for the next Stats. The caller holds the write
+// lock.
 func (s *Storage) refreshFootprint(ctx context.Context) {
+	s.stale.Store(false)
 	infos, err := s.backend.List(ctx)
 	if err != nil {
-		return // footprint is advisory; the next Stats retries
+		s.stale.Store(true) // footprint is advisory; the next Stats retries
+		return
 	}
 	s.stats.Cells = int64(len(infos))
 	s.stats.Bytes = 0
 	for _, info := range infos {
 		s.stats.Bytes += info.Size
 	}
-	s.stale = false
-}
-
-// call sends one request, translating a stopped module into ErrStopped
-// instead of a panic on the closed channel.
-func (s *Storage) call(req storageReq) (resp storageResp) {
-	defer func() {
-		if recover() != nil {
-			resp = storageResp{err: ErrStopped}
-		}
-	}()
-	req.reply = make(chan storageResp, 1)
-	s.reqs <- req
-	return <-req.reply
 }
 
 // Get looks a content key up in the backend.
 func (s *Storage) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
-	resp := s.call(storageReq{op: opGet, ctx: ctx, key: key})
-	return resp.out, resp.ok, resp.err
+	if s.stopped.Load() {
+		return nil, false, ErrStopped
+	}
+	out, ok, err := s.backend.Get(ctx, key)
+	s.countRead(ok)
+	return out, ok, err
 }
 
 // GetRaw looks a content key up and returns the outcome as undecoded
 // JSON (see RawGetter).
 func (s *Storage) GetRaw(ctx context.Context, key string) (json.RawMessage, bool, error) {
-	resp := s.call(storageReq{op: opGetRaw, ctx: ctx, key: key})
-	return resp.raw, resp.ok, resp.err
+	if s.stopped.Load() {
+		return nil, false, ErrStopped
+	}
+	raw, ok, err := s.readRaw(ctx, false, scenario.Spec{}, key)
+	s.countRead(ok)
+	return raw, ok, err
 }
 
 // FetchRaw looks a key up with the spec available, letting a tiered
 // backend resolve the miss remotely (the queue uses this so a miss
 // costs the fleet one simulation, wherever it runs), and returns the
-// outcome as undecoded JSON.
+// outcome as undecoded JSON. The read-through holds no lock.
 func (s *Storage) FetchRaw(ctx context.Context, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
-	resp := s.call(storageReq{op: opFetchRaw, ctx: ctx, spec: spec, key: key})
-	return resp.raw, resp.ok, resp.err
+	if s.stopped.Load() {
+		return nil, false, ErrStopped
+	}
+	raw, ok, err := s.readRaw(ctx, true, spec, key)
+	s.countRead(ok)
+	return raw, ok, err
 }
 
 // Put persists an outcome and, when caps are configured, trims the
-// cache tier in the same serialized step.
+// cache tier in the same locked step.
 func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
-	return s.call(storageReq{op: opPut, ctx: ctx, spec: spec, out: out}).err
+	return s.write(ctx, func(ctx context.Context) error { return s.put(ctx, spec, out) })
 }
 
 // Push stores a computed cell unless its key is already stored: cells
 // are written once. Pushing the stored outcome again is a no-op; a
 // different outcome fails with ErrConflict and leaves the cell as it is.
-// The check and the write are one serialized step.
+// The check and the write are one locked step.
 func (s *Storage) Push(ctx context.Context, spec scenario.Spec, key string, out *scenario.Outcome) error {
-	return s.call(storageReq{op: opPush, ctx: ctx, spec: spec, key: key, out: out}).err
+	return s.write(ctx, func(ctx context.Context) error { return s.push(ctx, spec, key, out) })
 }
 
 // List inspects the backend's cells.
 func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
-	resp := s.call(storageReq{op: opList, ctx: ctx})
-	return resp.infos, resp.err
+	if s.stopped.Load() {
+		return nil, ErrStopped
+	}
+	return s.backend.List(ctx)
 }
 
 // Len counts the backend's cells.
 func (s *Storage) Len(ctx context.Context) (int, error) {
-	resp := s.call(storageReq{op: opLen, ctx: ctx})
-	return resp.n, resp.err
+	if s.stopped.Load() {
+		return 0, ErrStopped
+	}
+	return s.backend.Len(ctx)
 }
 
 // Degraded reports whether a tiered backend's circuit breaker is outside
 // the closed state. It reads only the breaker — never the backend's
-// cells — and does not queue on the serving goroutine, so an error path
-// can ask it for free (TierStatter implementations lock their own
-// counters).
+// cells — and takes no storage lock, so an error path can ask it for
+// free (TierStatter implementations lock their own counters).
 func (s *Storage) Degraded() bool {
 	ts, ok := s.backend.(TierStatter)
 	return ok && ts.TierStats().BreakerState != breakerClosed.String()
 }
 
-// Stats snapshots the module's accounting.
+// Stats snapshots the module's accounting, refreshing a stale footprint
+// under the write lock.
 func (s *Storage) Stats(ctx context.Context) (StorageStats, error) {
-	resp := s.call(storageReq{op: opStats, ctx: ctx})
-	return resp.stats, resp.err
+	var st StorageStats
+	err := s.write(ctx, func(ctx context.Context) error {
+		if s.stale.Load() {
+			s.refreshFootprint(ctx)
+		}
+		st = s.stats
+		return nil
+	})
+	if err != nil {
+		return StorageStats{}, err
+	}
+	st.Gets, st.Hits = s.gets.Load(), s.hits.Load()
+	if ts, ok := s.backend.(TierStatter); ok {
+		tier := ts.TierStats()
+		st.Tier = &tier
+	}
+	return st, nil
 }

@@ -200,13 +200,14 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# BENCH_PR14.json baseline via benchjson -compare (the gate ratchets: each PR
-# appends BENCH_PR<n>.json and the next gates against it). The
-# threshold is deliberately wide (60%): this 1-core shared container
-# drifts 15-35% between sessions on bit-identical hot paths (measured
-# PR3 -> PR4), so a tight gate would be noise; the wide one still
-# catches real blowups, and allocs/op regressions — which are
-# deterministic — are judged by the same factor against integer counts,
-# so any alloc creep on a 0-alloc path fails regardless.
-go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -benchmem . > "$run_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR14.json -threshold 0.60 < "$run_dir/bench.out"
+# BENCH_PR16.json baseline via benchjson -compare (the gate ratchets: each PR
+# appends BENCH_PR<n>.json and the next gates against it). Each benchmark
+# runs five times (-count 5) and benchjson compares the median of the
+# five: on a shared 2-core machine one sample of an unchanged hot
+# path read up to +196% against its baseline, and a median of five is
+# steadier than any one sample.
+# The threshold stays deliberately wide (60%), and allocs/op regressions
+# — which are deterministic — are judged by the same factor against
+# integer counts, so any alloc creep on a 0-alloc path fails regardless.
+go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -count 5 -benchmem . > "$run_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR16.json -threshold 0.60 < "$run_dir/bench.out"
