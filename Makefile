@@ -12,8 +12,6 @@ GO ?= go
 # comparison benchmarks here so every PR's baseline is diffable.
 BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit'
 BENCH_OUT ?= BENCH_PR17.json
-# Samples per benchmark; benchjson folds them into their median.
-BENCH_COUNT ?= 5
 
 all: ci
 
@@ -47,12 +45,12 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 
 # Machine-readable perf baseline: run the trajectory benchmarks
-# $(BENCH_COUNT) times and write the median ns/op (and the fastest),
+# five times and write the median ns/op (and the fastest),
 # allocs/op and custom metrics (ticks/s) to $(BENCH_OUT). The
 # intermediate file (not a pipe) makes a failing benchmark run fail the
 # target instead of silently committing a partial baseline.
 bench-json:
-	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -count $(BENCH_COUNT) -benchmem . > bench.out
+	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -count 5 -benchmem . > bench.out
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
@@ -61,7 +59,7 @@ bench-json:
 BENCH_BASELINE ?= BENCH_PR16.json
 BENCH_THRESHOLD ?= 0.15
 bench-compare:
-	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -count $(BENCH_COUNT) -benchmem . > bench.out
+	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -count 5 -benchmem . > bench.out
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -threshold $(BENCH_THRESHOLD) < bench.out
 	@rm -f bench.out
 

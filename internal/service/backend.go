@@ -19,10 +19,10 @@ import (
 // the calls it makes under its write lock.
 //
 // Backends are safe for concurrent use: the storage module calls them
-// from many goroutines at once and serializes only its own writes, while
-// a tiered backend's read-through writes back into its local tier with no
-// lock held. StoreBackend is safe by its temp-file + rename writes (a
-// reader sees a whole cell or none), MemBackend by its own mutex.
+// from many goroutines at once and serializes only its own writes (a
+// tiered backend's read-through write-back among them, see writeBack).
+// StoreBackend is safe by its temp-file + rename writes (a reader sees a
+// whole cell or none), MemBackend by its own mutex.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string
@@ -46,10 +46,12 @@ type GCBackend interface {
 
 // Fetcher is the optional read-through hook: a backend that can resolve
 // a miss by handing the spec to another tier (RemoteBackend delegates
-// the simulation to its remote daemon) implements it. The queue's
-// workers fetch instead of getting, so a miss on a tiered daemon costs
-// the fleet one simulation wherever the key lands; plain backends fall
-// back to Get.
+// the simulation to its remote daemon) implements it. The queue fetches
+// instead of getting, so a miss on a tiered daemon costs the fleet one
+// simulation wherever the key lands; plain backends fall back to Get.
+// The storage module passes per-call options in ctx (fetchOpts), so a
+// wrapper must forward ctx as it is; a Fetch that writes a remote hit
+// back into a local tier does it through writeBack.
 type Fetcher interface {
 	Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error)
 }

@@ -70,6 +70,9 @@ type job struct {
 	err     string
 	outcome *scenario.Outcome
 	done    chan struct{} // closed when the job leaves queued/running
+	// accepted records that the submit's read-through found the spec
+	// accepted by the remote tier; set before the job is enqueued.
+	accepted bool
 }
 
 // snapshot returns the job's status under its lock.
@@ -208,10 +211,13 @@ func decodeOutcome(key string, raw json.RawMessage) (*scenario.Outcome, error) {
 // cell exists, coalesce onto an in-flight job when one is already
 // queued or running (singleflight), otherwise enqueue on the key's
 // shard. The returned status is the submit-time snapshot; poll Status
-// (or wait on the HTTP API) for completion. The store check is a fetch
-// — on a tiered daemon a miss reads through to (and may be simulated
-// by) the shared remote tier, so the key's first simulation happens
-// once fleet-wide, wherever the singleflight that owns it runs.
+// (or wait on the HTTP API) for completion. The store check reads the
+// local tier first. On a local miss the submit registers the job in
+// flight before it reads through, so the singleflight owns the
+// read-through: on a tiered daemon one bounded round trip to the shared
+// remote tier, whose hit answers the submit; a spec the remote accepts
+// is left to the job's worker, which waits on the remote's simulation.
+// The key's first simulation thus happens once fleet-wide.
 func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, error) {
 	st, raw, err := q.submit(ctx, spec)
 	if err == nil && raw != nil {
@@ -237,8 +243,9 @@ func (q *Queue) submit(ctx context.Context, spec scenario.Spec) (JobStatus, json
 	}
 	q.addStat(&q.stats.submitted)
 
-	// Store first: a finished cell answers immediately, no job needed.
-	if raw, ok, err := q.storage.FetchRaw(ctx, spec, key); err != nil {
+	// Local tier first: a stored cell answers at once, with no job and
+	// no remote call.
+	if raw, ok, _, err := q.storage.fetch(ctx, fetchLocal, spec, key); err != nil {
 		return JobStatus{}, nil, err
 	} else if ok {
 		q.addStat(&q.stats.cacheHits)
@@ -267,9 +274,25 @@ func (q *Queue) submit(ctx context.Context, spec scenario.Spec) (JobStatus, json
 	q.inflight[key] = j
 	q.submitters.Add(1)
 	q.mu.Unlock()
+	defer q.submitters.Done()
 
+	// Read through with the job in flight, so concurrent submits of the
+	// spec coalesce onto it instead of reading through too.
+	raw, ok, accepted, err := q.storage.fetch(ctx, fetchProbe, spec, key)
+	if err != nil {
+		q.fail(j, err.Error())
+		return JobStatus{}, nil, err
+	}
+	if ok {
+		// A hit that does not decode is left to the worker (see recheck).
+		if out, err := decodeOutcome(key, raw); err == nil {
+			q.finish(j, out, true)
+			q.addStat(&q.stats.cacheHits)
+			return JobStatus{Key: key, State: StateDone, Cached: true}, raw, nil
+		}
+	}
+	j.accepted = accepted
 	q.queues[q.shardOf(key)] <- j
-	q.submitters.Done()
 	return j.snapshot(), nil, nil
 }
 
@@ -370,12 +393,7 @@ func (q *Queue) worker(jobs <-chan *job) {
 		q.mu.Unlock()
 		if stopping {
 			// Shutdown: fail the backlog instead of simulating it.
-			j.mu.Lock()
-			j.state = StateFailed
-			j.err = "scenariod stopping before execution"
-			j.mu.Unlock()
-			close(j.done)
-			q.addStat(&q.stats.failed)
+			q.fail(j, "scenariod stopping before execution")
 			continue
 		}
 
@@ -390,15 +408,12 @@ func (q *Queue) worker(jobs <-chan *job) {
 		// "one simulation per unique spec" holds unconditionally. The
 		// re-check is a Fetch: on a tiered daemon it reads through to the
 		// shared tier and may delegate the simulation to the remote —
-		// local engine work is the last resort. Workers run under the
-		// daemon's lifetime context, not any submitter's.
+		// local engine work is the last resort. A spec the submit saw
+		// the remote accept is waited on there with no second probe.
+		// Workers run under the daemon's lifetime context, not any
+		// submitter's.
 		if out, ok := q.recheck(j); ok {
-			j.mu.Lock()
-			j.state = StateDone
-			j.cached = true
-			j.outcome = out
-			j.mu.Unlock()
-			q.retire(j)
+			q.finish(j, out, true)
 			q.addStat(&q.stats.cacheHits)
 			continue
 		}
@@ -410,26 +425,35 @@ func (q *Queue) worker(jobs <-chan *job) {
 			err = q.storage.Put(context.Background(), j.spec, out)
 		}
 
-		j.mu.Lock()
 		if err != nil {
-			j.state = StateFailed
-			j.err = err.Error()
-		} else {
-			j.state = StateDone
-			j.outcome = out
-		}
-		j.mu.Unlock()
-
-		if err != nil {
-			// Failed jobs stay in the table so pollers see the error;
-			// a re-submit replaces them (see Submit).
-			close(j.done)
-			q.addStat(&q.stats.failed)
+			q.fail(j, err.Error())
 			continue
 		}
-		q.retire(j)
+		q.finish(j, out, false)
 		q.addStat(&q.stats.simulated)
 	}
+}
+
+// fail marks a job failed and wakes its waiters. Failed jobs stay in
+// the table so pollers see the error; a re-submit replaces them (see
+// Submit).
+func (q *Queue) fail(j *job, msg string) {
+	j.mu.Lock()
+	j.state = StateFailed
+	j.err = msg
+	j.mu.Unlock()
+	close(j.done)
+	q.addStat(&q.stats.failed)
+}
+
+// finish publishes a job's outcome and retires it.
+func (q *Queue) finish(j *job, out *scenario.Outcome, cached bool) {
+	j.mu.Lock()
+	j.state = StateDone
+	j.cached = cached
+	j.outcome = out
+	j.mu.Unlock()
+	q.retire(j)
 }
 
 // retire removes a done job from the in-flight table, then wakes its
@@ -446,7 +470,11 @@ func (q *Queue) retire(j *job) {
 // hit that does not decode is treated as a miss, so the job re-runs
 // and its Put overwrites the cell.
 func (q *Queue) recheck(j *job) (*scenario.Outcome, bool) {
-	raw, ok, err := q.storage.FetchRaw(context.Background(), j.spec, j.key)
+	mode := fetchWait
+	if j.accepted {
+		mode = fetchAccepted
+	}
+	raw, ok, _, err := q.storage.fetch(context.Background(), mode, j.spec, j.key)
 	if err != nil || !ok {
 		return nil, false
 	}

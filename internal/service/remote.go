@@ -14,10 +14,10 @@ import (
 // StoreBackend or MemBackend) fronted onto another scenariod reached
 // through a Client. Reads check the local tier first and read through
 // to the remote on a miss (write-backing hits into the local tier);
-// Fetch — the queue workers' miss path — delegates the whole simulation
-// to the remote daemon, whose singleflight queue dedups across the
-// fleet, so N daemons sharing one leader cost exactly one simulation
-// per unique spec. Puts land locally first and write through to the
+// Fetch — the queue's miss path — delegates the whole simulation to the
+// remote daemon, whose singleflight queue dedups across the fleet, so N
+// daemons sharing one leader cost exactly one simulation per unique
+// spec. Puts land locally first and write through to the
 // remote (async by default, sync when configured).
 //
 // The headline guarantee is the failure semantics: remote trouble can
@@ -250,6 +250,48 @@ func (r *RemoteBackend) GetRaw(ctx context.Context, key string) (json.RawMessage
 	return raw, ok, err
 }
 
+// fetchMode says how far a Fetch goes past a local miss.
+type fetchMode int
+
+const (
+	// fetchWait, the default, submits the spec to the remote in one
+	// bounded round trip and, when the remote accepts it, waits for the
+	// simulation under the caller's context.
+	fetchWait fetchMode = iota
+	// fetchLocal reads the local tier only.
+	fetchLocal
+	// fetchProbe makes the one bounded round trip and no more: a spec the
+	// remote accepted into its queue is a miss, and fetchOpts.accepted
+	// says so.
+	fetchProbe
+	// fetchAccepted waits for a spec the remote has already accepted,
+	// with no probe first.
+	fetchAccepted
+)
+
+// fetchOpts rides the context from the storage module into a tiered
+// backend's Fetch. Backend wrappers forward the context as it is, so
+// the options reach the RemoteBackend under any wrapper and Fetch keeps
+// the signature wrappers implement. A Fetch without options runs
+// fetchWait and writes back with no lock.
+type fetchOpts struct {
+	mode fetchMode
+	// accepted reports a probe the remote answered with the spec queued
+	// or running.
+	accepted bool
+	// locked runs a write-back's check and write as one step under the
+	// storage module's write lock, the lock Push checks and writes under.
+	locked func(context.Context, func(context.Context) error) error
+}
+
+type fetchOptsKey struct{}
+
+// fetchOptsFrom returns the options in ctx, or nil.
+func fetchOptsFrom(ctx context.Context) *fetchOpts {
+	o, _ := ctx.Value(fetchOptsKey{}).(*fetchOpts)
+	return o
+}
+
 // Fetch resolves a miss with the spec in hand: local first, then a
 // submit to the remote daemon, and the outcome is written back locally.
 // A remote hit answers that submit in one round trip. Otherwise the
@@ -258,7 +300,10 @@ func (r *RemoteBackend) GetRaw(ctx context.Context, key string) (json.RawMessage
 // simulation with a second, coalescing submit that only the caller's
 // context bounds: a remote that answered within the deadline is busy,
 // not down, and a slow simulation there is not a failure. Remote trouble
-// returns a miss so the local worker runs the simulation itself.
+// returns a miss so the local worker runs the simulation itself. The
+// storage module narrows this per call through fetchOpts: the queue's
+// submit path probes without waiting, and its worker waits on a spec
+// the probe saw accepted without probing again.
 func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
 	out, ok, err := r.local.Get(ctx, key)
 	if err != nil || ok {
@@ -267,15 +312,31 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 		}
 		return out, ok, err
 	}
+	o := fetchOptsFrom(ctx)
+	mode := fetchWait
+	if o != nil {
+		mode = o.mode
+	}
+	if mode == fetchLocal {
+		return nil, false, nil
+	}
 	if !r.br.allow() {
 		r.count(func(st *TierStats) { st.DegradedSkips++ })
 		return nil, false, nil
 	}
-	rctx, cancel := context.WithTimeout(ctx, r.timeout)
-	st, err := r.client.Submit(rctx, spec, false)
-	cancel()
-	if err == nil && (st.State == StateQueued || st.State == StateRunning) {
+	var st JobStatus
+	if mode == fetchAccepted {
 		st, err = r.client.Submit(ctx, spec, true)
+	} else {
+		rctx, cancel := context.WithTimeout(ctx, r.timeout)
+		st, err = r.client.Submit(rctx, spec, false)
+		cancel()
+		busy := err == nil && (st.State == StateQueued || st.State == StateRunning)
+		if busy && mode == fetchWait {
+			st, err = r.client.Submit(ctx, spec, true)
+		} else if busy && o != nil {
+			o.accepted = true
+		}
 	}
 	if err != nil {
 		r.remoteError(ctx, err)
@@ -287,10 +348,30 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 		return nil, false, nil
 	}
 	r.count(func(st *TierStats) { st.RemoteHits++ })
-	// Write-back: the next read of this key is a local hit. Failure is
-	// tolerable — the outcome is already in hand and re-fetchable.
-	_ = r.local.Put(ctx, spec, st.Outcome)
+	writeBack(ctx, r.local, spec, key, st.Outcome)
 	return st.Outcome, true, nil
+}
+
+// writeBack stores a remote hit in the local tier, so the next read of
+// the key is a local hit. Cells are written once: a key the local tier
+// already holds (a push can land one while the round trip runs) keeps
+// its cell. With the storage module's lock in ctx's fetchOpts, the check
+// and the write are one step under it, atomic against Push. Failure is
+// tolerable: the outcome is already in hand and re-fetchable.
+func writeBack(ctx context.Context, local Backend, spec scenario.Spec, key string, out *scenario.Outcome) {
+	if o := fetchOptsFrom(ctx); o != nil && o.locked != nil {
+		_ = o.locked(ctx, func(ctx context.Context) error { return putOnce(ctx, local, spec, key, out) })
+		return
+	}
+	_ = putOnce(ctx, local, spec, key, out)
+}
+
+// putOnce puts the cell unless the backend already stores its key.
+func putOnce(ctx context.Context, be Backend, spec scenario.Spec, key string, out *scenario.Outcome) error {
+	if _, ok, err := be.Get(ctx, key); err != nil || ok {
+		return err
+	}
+	return be.Put(ctx, spec, out)
 }
 
 // Put lands the outcome in the local tier (errors here are real — the

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -883,5 +885,74 @@ func TestCallerGoneIsNotRemoteFailure(t *testing.T) {
 	}
 	if st := rb.TierStats(); st.RemoteErrors != 0 || st.BreakerState != "closed" {
 		t.Errorf("tier stats after the caller left: %+v, want 0 remote errors and a closed breaker", st)
+	}
+}
+
+// TestFollowerHerdDelegatesOnce: concurrent follower submits of one
+// fresh spec coalesce on the follower before any of them reaches the
+// leader. The job's submit makes the one bounded accept call, its worker
+// makes the one wait call, and the others answer from the job.
+func TestFollowerHerdDelegatesOnce(t *testing.T) {
+	const herd = 8
+	release := make(chan struct{})
+	leader := startLeader(t, func(spec scenario.Spec) (*scenario.Outcome, error) {
+		<-release
+		return scenario.Run(spec)
+	})
+	target, err := url.Parse(leader.BaseURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts, waits atomic.Int64
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/scenarios" {
+			if r.URL.Query().Get("wait") == "1" {
+				waits.Add(1)
+			} else {
+				accepts.Add(1)
+			}
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer counting.Close()
+	follower := startDaemon(t, Config{Remote: counting.URL})
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	defer unblock() // before the cleanups stop the daemons
+
+	fc := NewClient(follower.BaseURL())
+	spec := testSpec(42)
+	errs := make(chan error, herd)
+	for i := 0; i < herd; i++ {
+		go func() {
+			st, err := fc.Submit(ctx, spec, true)
+			if err == nil && (st.State != StateDone || st.Outcome == nil) {
+				err = fmt.Errorf("state %s", st.State)
+			}
+			errs <- err
+		}()
+	}
+	// Hold the leader until every submit has reached the follower's
+	// singleflight (or a deadline passes).
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if qs := follower.Queue().Stats(); qs.Submitted == herd && qs.Coalesced == herd-1 {
+			break
+		}
+	}
+	unblock()
+	for i := 0; i < herd; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("follower submit: %v", err)
+		}
+	}
+	if a, w := accepts.Load(), waits.Load(); a != 1 || w != 1 {
+		t.Errorf("leader saw %d accept calls and %d wait calls, want 1 and 1", a, w)
+	}
+	if qs := follower.Queue().Stats(); qs.Coalesced != herd-1 || qs.Simulated != 0 {
+		t.Errorf("follower queue stats %+v, want %d coalesced and 0 simulated", qs, herd-1)
+	}
+	if sims := leader.Queue().Stats().Simulated; sims != 1 {
+		t.Errorf("leader simulated %d, want 1", sims)
 	}
 }

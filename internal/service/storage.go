@@ -27,12 +27,15 @@ const writeTimeout = 30 * time.Second
 //
 // One mutex, the write lock, covers the steps that must be atomic: a Put
 // and the GC pass it triggers (the cache-cap contract), a Push's
-// stored-bytes check and its write (cells are written once), and Stats
-// with its refresh of a stale footprint. Two remote round trips still run
-// inside a write on a tiered backend: a Push's check reads through to the
-// remote (so a push cannot plant a cell the fleet already holds), and
-// with -remote-sync a Put's write-through waits on the remote. Each is
-// bounded by the remote deadline, and each blocks writers only.
+// stored-bytes check and its write (cells are written once), a tiered
+// backend's write-back of a remote hit with its own stored-key check and
+// cap pass (see writeBack), and Stats with its refresh of a stale
+// footprint. The write-back is local; the remote round trip before it
+// holds no lock. Two remote round trips still run inside a write on a
+// tiered backend: a Push's check reads through to the remote (so a push
+// cannot plant a cell the fleet already holds), and with -remote-sync a
+// Put's write-through waits on the remote. Each is bounded by the remote
+// deadline, and each blocks writers only.
 type Storage struct {
 	backend Backend
 	// gc caps the cache tier; the zero value disables eviction.
@@ -157,7 +160,7 @@ func (s *Storage) put(ctx context.Context, spec scenario.Spec, out *scenario.Out
 // must already hold the same outcome bytes, and then nothing is written;
 // different bytes are ErrConflict. The caller holds the write lock.
 func (s *Storage) push(ctx context.Context, spec scenario.Spec, key string, out *scenario.Outcome) error {
-	stored, ok, err := s.readRaw(ctx, false, spec, key)
+	stored, ok, err := s.readRaw(ctx, key)
 	if err != nil {
 		return err
 	}
@@ -181,29 +184,48 @@ func (s *Storage) push(ctx context.Context, spec scenario.Spec, key string, out 
 	return nil
 }
 
-// readRaw resolves a key to undecoded outcome bytes: the backend's raw
-// hook first, then the decoded path re-encoded. With fetch set the
-// decoded path has the spec in hand, so tiered backends read through
-// (and may delegate the simulation to their remote); otherwise, and for
-// plain backends, it is Get. A hit without an outcome is a miss.
-func (s *Storage) readRaw(ctx context.Context, fetch bool, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
+// readRaw resolves a key to undecoded outcome bytes with no spec in
+// hand: the backend's raw hook first, then Get re-encoded (on a tiered
+// backend, Get reads through to the remote without a write-back).
+func (s *Storage) readRaw(ctx context.Context, key string) (json.RawMessage, bool, error) {
 	if rg, ok := s.backend.(RawGetter); ok {
 		raw, ok, err := rg.GetRaw(ctx, key)
 		if err != nil || ok {
 			return raw, ok, err
 		}
 	}
-	var out *scenario.Outcome
-	var ok bool
-	var err error
-	if f, tiered := s.backend.(Fetcher); fetch && tiered {
-		out, ok, err = f.Fetch(ctx, spec, key)
-		if err == nil && ok {
-			s.wroteBack(ctx)
+	out, ok, err := s.backend.Get(ctx, key)
+	return encodeHit(key, out, ok, err)
+}
+
+// readFetch resolves a key to undecoded outcome bytes with the spec in
+// hand: the raw hook first, then a tiered backend's Fetch, which goes
+// past a local miss as far as mode says, or Get on a plain backend.
+// With fetchLocal a raw-hook miss is final. accepted reports a probe the
+// remote answered with the spec queued or running. A Fetch's write-back
+// runs under the write lock (see writeBack).
+func (s *Storage) readFetch(ctx context.Context, mode fetchMode, spec scenario.Spec, key string) (raw json.RawMessage, ok, accepted bool, err error) {
+	if rg, hooked := s.backend.(RawGetter); hooked {
+		raw, ok, err := rg.GetRaw(ctx, key)
+		if err != nil || ok || mode == fetchLocal {
+			return raw, ok, false, err
 		}
-	} else {
-		out, ok, err = s.backend.Get(ctx, key)
 	}
+	f, tiered := s.backend.(Fetcher)
+	if !tiered {
+		out, ok, err := s.backend.Get(ctx, key)
+		raw, ok, err = encodeHit(key, out, ok, err)
+		return raw, ok, false, err
+	}
+	o := &fetchOpts{mode: mode, locked: s.writeBack}
+	out, ok, err := f.Fetch(context.WithValue(ctx, fetchOptsKey{}, o), spec, key)
+	raw, ok, err = encodeHit(key, out, ok, err)
+	return raw, ok, o.accepted, err
+}
+
+// encodeHit encodes a decoded read's outcome; a hit without an outcome
+// is a miss.
+func encodeHit(key string, out *scenario.Outcome, ok bool, err error) (json.RawMessage, bool, error) {
 	if err != nil || !ok || out == nil {
 		return nil, false, err
 	}
@@ -214,18 +236,19 @@ func (s *Storage) readRaw(ctx context.Context, fetch bool, spec scenario.Spec, k
 	return raw, true, nil
 }
 
-// wroteBack accounts a hit a tiered backend's Fetch answered. Past a
-// raw-hook miss that hit is a read-through, which wrote the remote's
-// cell back into the local tier (nothing is pushed back to the remote);
-// without a raw hook it may be a local hit, and the pass below finds
-// nothing to do. The footprint is stale, and a capped store runs its cap
-// pass under the write lock, as after a Put. A failed pass is not the
-// read's failure; the next write's pass retries it.
-func (s *Storage) wroteBack(ctx context.Context) {
-	s.stale.Store(true)
-	if s.gc.Enabled() {
-		_ = s.write(ctx, s.maybeGC)
-	}
+// writeBack runs a tiered backend's read-through write-back, f, under
+// the write lock: the write and the cap pass after it are one step, as
+// with Put, and atomic against a Push's check and write. The write-back
+// is not a Put: it is not counted as one and is not pushed to the
+// remote. The footprint goes stale.
+func (s *Storage) writeBack(ctx context.Context, f func(context.Context) error) error {
+	return s.write(ctx, func(ctx context.Context) error {
+		if err := f(ctx); err != nil {
+			return err
+		}
+		s.stale.Store(true)
+		return s.maybeGC(ctx)
+	})
 }
 
 // maybeGC runs an eviction pass when caps are configured; the pass's
@@ -279,22 +302,33 @@ func (s *Storage) GetRaw(ctx context.Context, key string) (json.RawMessage, bool
 	if s.stopped.Load() {
 		return nil, false, ErrStopped
 	}
-	raw, ok, err := s.readRaw(ctx, false, scenario.Spec{}, key)
+	raw, ok, err := s.readRaw(ctx, key)
 	s.countRead(ok)
 	return raw, ok, err
 }
 
 // FetchRaw looks a key up with the spec available, letting a tiered
-// backend resolve the miss remotely (the queue uses this so a miss
-// costs the fleet one simulation, wherever it runs), and returns the
-// outcome as undecoded JSON. The read-through holds no lock.
+// backend resolve the miss remotely (a miss costs the fleet one
+// simulation, wherever it runs): it reads through and waits on a
+// simulation the remote accepts. It returns the outcome as undecoded
+// JSON. The read-through holds no lock.
 func (s *Storage) FetchRaw(ctx context.Context, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
-	if s.stopped.Load() {
-		return nil, false, ErrStopped
-	}
-	raw, ok, err := s.readRaw(ctx, true, spec, key)
-	s.countRead(ok)
+	raw, ok, _, err := s.fetch(ctx, fetchWait, spec, key)
 	return raw, ok, err
+}
+
+// fetch is FetchRaw going as far as mode says past a local miss (see
+// readFetch). A local lookup counts as a read only when it hits: a miss
+// goes on to the read that resolves it.
+func (s *Storage) fetch(ctx context.Context, mode fetchMode, spec scenario.Spec, key string) (json.RawMessage, bool, bool, error) {
+	if s.stopped.Load() {
+		return nil, false, false, ErrStopped
+	}
+	raw, ok, accepted, err := s.readFetch(ctx, mode, spec, key)
+	if ok || mode != fetchLocal {
+		s.countRead(ok)
+	}
+	return raw, ok, accepted, err
 }
 
 // Put persists an outcome and, when caps are configured, trims the

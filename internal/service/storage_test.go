@@ -158,12 +158,13 @@ func TestMemBackendKeepsCellsEncoded(t *testing.T) {
 
 // readThroughBackend is a tiered backend without the network: Fetch
 // checks the local tier, then reads the cell from remote and writes it
-// back locally with no lock of the storage module held, as
-// RemoteBackend.Fetch does. The local tier's raw and eviction hooks are
-// forwarded.
+// back locally through writeBack, as RemoteBackend.Fetch does. The local
+// tier's raw and eviction hooks are forwarded. beforeWriteBack, when
+// set, runs between the remote read and the write-back.
 type readThroughBackend struct {
 	Backend
-	remote *MemBackend
+	remote          *MemBackend
+	beforeWriteBack func()
 }
 
 func (b readThroughBackend) GetRaw(ctx context.Context, key string) (json.RawMessage, bool, error) {
@@ -182,7 +183,11 @@ func (b readThroughBackend) Fetch(ctx context.Context, spec scenario.Spec, key s
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return out, true, b.Backend.Put(ctx, spec, out)
+	if b.beforeWriteBack != nil {
+		b.beforeWriteBack()
+	}
+	writeBack(ctx, b.Backend, spec, key, out)
+	return out, true, nil
 }
 
 // storageBackend names a local tier the concurrency tests run on.
@@ -447,5 +452,47 @@ func TestStopDuringTraffic(t *testing.T) {
 		if err != ErrStopped {
 			t.Errorf("call %d after Stop returned %v, want ErrStopped", k, err)
 		}
+	}
+}
+
+// TestWriteBackKeepsPushedCell: a push that lands while a read-through
+// is on its way back keeps its cell. The write-back finds the key stored
+// and writes nothing, so cells stay written once on a tiered backend.
+func TestWriteBackKeepsPushedCell(t *testing.T) {
+	for _, be := range storageBackends {
+		t.Run(be.name, func(t *testing.T) {
+			spec := testSpec(41)
+			key, err := scenario.Key(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, pushed := NewMemBackend(), htmlOutcome()
+			pushed.Aggregate["passes"] = 7
+			if err := remote.Put(ctx, spec, htmlOutcome()); err != nil {
+				t.Fatal(err)
+			}
+			tb := &readThroughBackend{Backend: be.open(t), remote: remote}
+			s := startStorage(t, tb, scenario.GCConfig{})
+			tb.beforeWriteBack = func() {
+				if err := s.Push(ctx, spec, key, pushed); err != nil {
+					t.Errorf("Push during the read-through: %v", err)
+				}
+			}
+			if _, ok, err := s.FetchRaw(ctx, spec, key); err != nil || !ok {
+				t.Fatalf("FetchRaw = ok %v, %v; want a hit", ok, err)
+			}
+			raw, ok, err := s.GetRaw(ctx, key)
+			if err != nil || !ok {
+				t.Fatalf("GetRaw = ok %v, %v", ok, err)
+			}
+			want, err := json.Marshal(pushed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, raw); err != nil || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("stored cell is not the pushed one: the write-back overwrote it (%v)", err)
+			}
+		})
 	}
 }
