@@ -245,7 +245,7 @@ func (q *Queue) submit(ctx context.Context, spec scenario.Spec) (JobStatus, json
 
 	// Local tier first: a stored cell answers at once, with no job and
 	// no remote call.
-	if raw, ok, _, err := q.storage.fetch(ctx, fetchLocal, spec, key); err != nil {
+	if raw, ok, _, err := q.storage.fetchRaw(ctx, fetchLocal, spec, key); err != nil {
 		return JobStatus{}, nil, err
 	} else if ok {
 		q.addStat(&q.stats.cacheHits)
@@ -278,7 +278,7 @@ func (q *Queue) submit(ctx context.Context, spec scenario.Spec) (JobStatus, json
 
 	// Read through with the job in flight, so concurrent submits of the
 	// spec coalesce onto it instead of reading through too.
-	raw, ok, accepted, err := q.storage.fetch(ctx, fetchProbe, spec, key)
+	raw, ok, accepted, err := q.storage.fetchRaw(ctx, fetchProbe, spec, key)
 	if err != nil {
 		q.fail(j, err.Error())
 		return JobStatus{}, nil, err
@@ -474,7 +474,7 @@ func (q *Queue) recheck(j *job) (*scenario.Outcome, bool) {
 	if j.accepted {
 		mode = fetchAccepted
 	}
-	raw, ok, _, err := q.storage.fetch(context.Background(), mode, j.spec, j.key)
+	raw, ok, _, err := q.storage.fetchRaw(context.Background(), mode, j.spec, j.key)
 	if err != nil || !ok {
 		return nil, false
 	}

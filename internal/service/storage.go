@@ -20,8 +20,8 @@ const writeTimeout = 30 * time.Second
 
 // Storage is the storage module: it owns the Backend and calls it
 // directly from the caller's goroutine. Backends are safe for concurrent
-// use (see Backend), so reads — Get, GetRaw, FetchRaw, List, Len — take
-// no storage lock, and a FetchRaw that reads through to a tiered
+// use (see Backend), so reads — Get, GetRaw, fetchRaw, List, Len — take
+// no storage lock, and a fetchRaw that reads through to a tiered
 // backend's remote, or waits there on a delegated simulation, blocks only
 // its own caller.
 //
@@ -198,31 +198,6 @@ func (s *Storage) readRaw(ctx context.Context, key string) (json.RawMessage, boo
 	return encodeHit(key, out, ok, err)
 }
 
-// readFetch resolves a key to undecoded outcome bytes with the spec in
-// hand: the raw hook first, then a tiered backend's Fetch, which goes
-// past a local miss as far as mode says, or Get on a plain backend.
-// With fetchLocal a raw-hook miss is final. accepted reports a probe the
-// remote answered with the spec queued or running. A Fetch's write-back
-// runs under the write lock (see writeBack).
-func (s *Storage) readFetch(ctx context.Context, mode fetchMode, spec scenario.Spec, key string) (raw json.RawMessage, ok, accepted bool, err error) {
-	if rg, hooked := s.backend.(RawGetter); hooked {
-		raw, ok, err := rg.GetRaw(ctx, key)
-		if err != nil || ok || mode == fetchLocal {
-			return raw, ok, false, err
-		}
-	}
-	f, tiered := s.backend.(Fetcher)
-	if !tiered {
-		out, ok, err := s.backend.Get(ctx, key)
-		raw, ok, err = encodeHit(key, out, ok, err)
-		return raw, ok, false, err
-	}
-	o := &fetchOpts{mode: mode, locked: s.writeBack}
-	out, ok, err := f.Fetch(context.WithValue(ctx, fetchOptsKey{}, o), spec, key)
-	raw, ok, err = encodeHit(key, out, ok, err)
-	return raw, ok, o.accepted, err
-}
-
 // encodeHit encodes a decoded read's outcome; a hit without an outcome
 // is a miss.
 func encodeHit(key string, out *scenario.Outcome, ok bool, err error) (json.RawMessage, bool, error) {
@@ -307,27 +282,32 @@ func (s *Storage) GetRaw(ctx context.Context, key string) (json.RawMessage, bool
 	return raw, ok, err
 }
 
-// FetchRaw looks a key up with the spec available, letting a tiered
-// backend resolve the miss remotely (a miss costs the fleet one
-// simulation, wherever it runs): it reads through and waits on a
-// simulation the remote accepts. It returns the outcome as undecoded
-// JSON. The read-through holds no lock.
-func (s *Storage) FetchRaw(ctx context.Context, spec scenario.Spec, key string) (json.RawMessage, bool, error) {
-	raw, ok, _, err := s.fetch(ctx, fetchWait, spec, key)
-	return raw, ok, err
-}
-
-// fetch is FetchRaw going as far as mode says past a local miss (see
-// readFetch). A local lookup counts as a read only when it hits: a miss
-// goes on to the read that resolves it.
-func (s *Storage) fetch(ctx context.Context, mode fetchMode, spec scenario.Spec, key string) (json.RawMessage, bool, bool, error) {
+// fetchRaw looks a key up with the spec in hand and returns the
+// outcome as undecoded JSON: the raw hook first, then a tiered backend's
+// Fetch, which goes past a local miss as far as mode says, or Get on a
+// plain backend. With fetchLocal a raw-hook miss is final. accepted
+// reports a probe the remote answered with the spec queued or running.
+// The read-through holds no lock; its write-back runs under the write
+// lock (see writeBack).
+func (s *Storage) fetchRaw(ctx context.Context, mode fetchMode, spec scenario.Spec, key string) (raw json.RawMessage, ok, accepted bool, err error) {
 	if s.stopped.Load() {
 		return nil, false, false, ErrStopped
 	}
-	raw, ok, accepted, err := s.readFetch(ctx, mode, spec, key)
-	if ok || mode != fetchLocal {
-		s.countRead(ok)
+	defer func() { s.countRead(ok) }()
+	if rg, hooked := s.backend.(RawGetter); hooked {
+		if raw, ok, err = rg.GetRaw(ctx, key); err != nil || ok || mode == fetchLocal {
+			return raw, ok, false, err
+		}
 	}
+	var out *scenario.Outcome
+	if f, tiered := s.backend.(Fetcher); tiered {
+		o := &fetchOpts{mode: mode, locked: s.writeBack}
+		out, ok, err = f.Fetch(context.WithValue(ctx, fetchOptsKey{}, o), spec, key)
+		accepted = o.accepted
+	} else {
+		out, ok, err = s.backend.Get(ctx, key)
+	}
+	raw, ok, err = encodeHit(key, out, ok, err)
 	return raw, ok, accepted, err
 }
 

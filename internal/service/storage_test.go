@@ -285,8 +285,8 @@ func TestStorageConcurrentTraffic(t *testing.T) {
 							if err := s.Push(ctx, specs[push], keys[push], out); err != nil {
 								t.Errorf("Push: %v", err)
 							}
-							if _, ok, err := s.FetchRaw(ctx, specs[fetch], keys[fetch]); err != nil || !ok {
-								t.Errorf("FetchRaw of a remote key: ok=%v, %v", ok, err)
+							if _, ok, _, err := s.fetchRaw(ctx, fetchWait, specs[fetch], keys[fetch]); err != nil || !ok {
+								t.Errorf("fetchRaw of a remote key: ok=%v, %v", ok, err)
 							}
 							other := ((w+1)%workers)*perG + i
 							if _, _, err := s.GetRaw(ctx, keys[other]); err != nil {
@@ -409,7 +409,7 @@ func TestStopDuringTraffic(t *testing.T) {
 		i %= len(specs)
 		_, _, getErr := s.Get(ctx, keys[i])
 		_, _, rawErr := s.GetRaw(ctx, keys[i])
-		_, _, fetchErr := s.FetchRaw(ctx, specs[i], keys[i])
+		_, _, _, fetchErr := s.fetchRaw(ctx, fetchWait, specs[i], keys[i])
 		_, listErr := s.List(ctx)
 		_, lenErr := s.Len(ctx)
 		_, statsErr := s.Stats(ctx)
@@ -478,8 +478,8 @@ func TestWriteBackKeepsPushedCell(t *testing.T) {
 					t.Errorf("Push during the read-through: %v", err)
 				}
 			}
-			if _, ok, err := s.FetchRaw(ctx, spec, key); err != nil || !ok {
-				t.Fatalf("FetchRaw = ok %v, %v; want a hit", ok, err)
+			if _, ok, _, err := s.fetchRaw(ctx, fetchWait, spec, key); err != nil || !ok {
+				t.Fatalf("fetchRaw = ok %v, %v; want a hit", ok, err)
 			}
 			raw, ok, err := s.GetRaw(ctx, key)
 			if err != nil || !ok {
