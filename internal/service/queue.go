@@ -112,6 +112,11 @@ type Queue struct {
 
 	queues []chan *job
 	wg     sync.WaitGroup
+	// life is the workers' context. Stop cancels it, which ends a wait
+	// on a remote simulation: the remote finishes and stores the cell
+	// without this daemon.
+	life   context.Context
+	cancel context.CancelFunc
 
 	stats struct {
 		mu                                                 sync.Mutex
@@ -140,6 +145,7 @@ func (q *Queue) Configure() error {
 		return fmt.Errorf("queue: negative engine worker cap %d", q.engineWorkers)
 	}
 	q.inflight = make(map[string]*job)
+	q.life, q.cancel = context.WithCancel(context.Background())
 	q.queues = make([]chan *job, q.shards)
 	for i := range q.queues {
 		// The buffer absorbs submit bursts without blocking the HTTP
@@ -163,13 +169,15 @@ func (q *Queue) Start() error {
 
 // Stop closes the intake and waits for the workers. Jobs already
 // executing finish (their results are persisted for the next process);
-// jobs still queued are failed with a shutdown error instead of run, so
-// Stop returns promptly even with a deep backlog.
+// jobs still queued, and jobs waiting on a remote simulation, are failed
+// with a shutdown error instead of run, so Stop returns promptly even
+// with a deep backlog or a busy remote.
 func (q *Queue) Stop() error {
 	q.mu.Lock()
 	q.accept = false
 	q.stopping = true
 	q.mu.Unlock()
+	q.cancel()
 	q.submitters.Wait()
 	for i := range q.queues {
 		close(q.queues[i])
@@ -388,12 +396,7 @@ func (q *Queue) Stats() QueueStats {
 func (q *Queue) worker(jobs <-chan *job) {
 	defer q.wg.Done()
 	for j := range jobs {
-		q.mu.Lock()
-		stopping := q.stopping
-		q.mu.Unlock()
-		if stopping {
-			// Shutdown: fail the backlog instead of simulating it.
-			q.fail(j, "scenariod stopping before execution")
+		if q.stopped(j) {
 			continue
 		}
 
@@ -410,12 +413,15 @@ func (q *Queue) worker(jobs <-chan *job) {
 		// shared tier and may delegate the simulation to the remote —
 		// local engine work is the last resort. A spec the submit saw
 		// the remote accept is waited on there with no second probe.
-		// Workers run under the daemon's lifetime context, not any
+		// Workers run under the queue's lifetime context, not any
 		// submitter's.
 		if out, ok := q.recheck(j); ok {
 			q.finish(j, out, true)
 			q.addStat(&q.stats.cacheHits)
 			continue
+		}
+		if q.stopped(j) {
+			continue // Stop ended the re-check's wait on the remote
 		}
 
 		out, err := q.run(j.spec)
@@ -432,6 +438,18 @@ func (q *Queue) worker(jobs <-chan *job) {
 		q.finish(j, out, false)
 		q.addStat(&q.stats.simulated)
 	}
+}
+
+// stopped fails the job when the queue is stopping: shutdown fails the
+// backlog instead of simulating it.
+func (q *Queue) stopped(j *job) bool {
+	q.mu.Lock()
+	stopping := q.stopping
+	q.mu.Unlock()
+	if stopping {
+		q.fail(j, "scenariod stopping before execution")
+	}
+	return stopping
 }
 
 // fail marks a job failed and wakes its waiters. Failed jobs stay in
@@ -474,7 +492,7 @@ func (q *Queue) recheck(j *job) (*scenario.Outcome, bool) {
 	if j.accepted {
 		mode = fetchAccepted
 	}
-	raw, ok, _, err := q.storage.fetchRaw(context.Background(), mode, j.spec, j.key)
+	raw, ok, _, err := q.storage.fetchRaw(q.life, mode, j.spec, j.key)
 	if err != nil || !ok {
 		return nil, false
 	}

@@ -956,3 +956,56 @@ func TestFollowerHerdDelegatesOnce(t *testing.T) {
 		t.Errorf("leader simulated %d, want 1", sims)
 	}
 }
+
+// TestFollowerStopEndsLeaderWait: a follower stopping while its worker
+// waits on a leader simulation returns at once. The job fails with the
+// shutdown error, and the leader finishes and stores the cell without
+// the follower.
+func TestFollowerStopEndsLeaderWait(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	leader := startLeader(t, func(spec scenario.Spec) (*scenario.Outcome, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return scenario.Run(spec)
+	})
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	defer unblock() // before the cleanup stops the leader
+	follower, err := New(Config{Remote: leader.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Start(); err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(43)
+	st, err := NewClient(follower.BaseURL()).Submit(ctx, spec, false)
+	if err != nil || st.State == StateDone {
+		t.Fatalf("submit = %+v, %v; want an in-flight job", st, err)
+	}
+	<-started
+	// Let the worker reach its wait on the leader.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if js := follower.Queue().Inflight(); len(js) == 1 && js[0].State == StateRunning {
+			break
+		}
+	}
+	begin := time.Now()
+	stopped := make(chan error, 1)
+	go func() { stopped <- follower.Stop() }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("follower stopped in %v with a leader simulation held", time.Since(begin))
+	case <-time.After(time.Second):
+		t.Error("follower Stop still waiting on the leader's simulation after 1s")
+		unblock()
+		<-stopped
+	}
+	if qs := follower.Queue().Stats(); qs.Failed != 1 || qs.Simulated != 0 {
+		t.Errorf("follower queue stats %+v, want 1 failed and 0 simulated", qs)
+	}
+}
