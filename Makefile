@@ -11,7 +11,7 @@ GO ?= go
 # (BENCH_*.json via `make bench-json`); keep the hot-path and engine
 # comparison benchmarks here so every PR's baseline is diffable.
 BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit'
-BENCH_OUT ?= BENCH_PR17.json
+BENCH_OUT ?= BENCH_PR18.json
 
 all: ci
 
@@ -56,7 +56,7 @@ bench-json:
 
 # Diff fresh trajectory medians against a committed baseline; fails on a
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
-BENCH_BASELINE ?= BENCH_PR16.json
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_THRESHOLD ?= 0.15
 bench-compare:
 	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -count 5 -benchmem . > bench.out

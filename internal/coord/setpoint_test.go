@@ -176,3 +176,91 @@ func TestSingleStepReset(t *testing.T) {
 		t.Error("boost immediately after reset")
 	}
 }
+
+func TestMovingAverageBasics(t *testing.T) {
+	m := newMovingAverage(3)
+	steps := []struct{ in, want float64 }{
+		{3, 3},   // [3]
+		{6, 4.5}, // [3 6]
+		{9, 6},   // [3 6 9]
+		{12, 9},  // [6 9 12]
+		{0, 7},   // [9 12 0]
+		{0, 4},   // [12 0 0]
+		{0, 0},   // [0 0 0]
+	}
+	for i, s := range steps {
+		if got := m.update(s.in); math.Abs(got-s.want) > 1e-12 {
+			t.Errorf("step %d: update(%v) = %v, want %v", i, s.in, got, s.want)
+		}
+	}
+}
+
+func TestMovingAverageReset(t *testing.T) {
+	m := newMovingAverage(4)
+	for i := 0; i < 10; i++ {
+		m.update(float64(i))
+	}
+	m.reset()
+	if got := m.update(42); got != 42 {
+		t.Errorf("after reset first sample = %v, want 42", got)
+	}
+}
+
+func TestMovingAverageBoundsProperty(t *testing.T) {
+	// Output is always within [min, max] of the inputs seen in the window.
+	f := func(raw []float64) bool {
+		m := newMovingAverage(5)
+		var lastFive []float64
+		for _, x := range raw {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+			x = math.Mod(x, 1e9)
+			lastFive = append(lastFive, x)
+			if len(lastFive) > 5 {
+				lastFive = lastFive[1:]
+			}
+			got := m.update(x)
+			lo, hi := lastFive[0], lastFive[0]
+			for _, v := range lastFive {
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+			if got < lo-1e-6 || got > hi+1e-6 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestMovingAverageTracksMean(t *testing.T) {
+	m := newMovingAverage(4)
+	var got float64
+	for i := 0; i < 20; i++ {
+		got = m.update(0.7)
+	}
+	if math.Abs(got-0.7) > 1e-12 {
+		t.Errorf("prediction = %v, want 0.7", got)
+	}
+}
+
+func TestMovingAverageFiltersNoise(t *testing.T) {
+	// Alternating +/-0.1 noise around 0.5 should predict close to 0.5.
+	m := newMovingAverage(10)
+	var got float64
+	for i := 0; i < 100; i++ {
+		x := 0.5
+		if i%2 == 0 {
+			x += 0.1
+		} else {
+			x -= 0.1
+		}
+		got = m.update(x)
+	}
+	if math.Abs(got-0.5) > 0.02 {
+		t.Errorf("noisy prediction = %v, want ~0.5", got)
+	}
+}

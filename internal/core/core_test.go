@@ -36,18 +36,22 @@ func TestNewDTMValidation(t *testing.T) {
 }
 
 func TestTableIIISolutionsConstruct(t *testing.T) {
-	policies, err := TableIIISolutions(sim.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(policies) != 5 {
-		t.Fatalf("solutions = %d, want 5", len(policies))
+	builders := []func(sim.Config) (*DTM, error){
+		NewUncoordinated,
+		NewECoordPolicy,
+		func(c sim.Config) (*DTM, error) { return NewRuleCoord(c, 75) },
+		NewRuleCoordAdaptiveRef,
+		NewFullStack,
 	}
 	wantNames := []string{
 		"w/o coordination", "E-coord", "R-coord(@Tref=75C)",
 		"R-coord+A-Tref", "R-coord+A-Tref+SSfan",
 	}
-	for i, p := range policies {
+	for i, build := range builders {
+		p, err := build(sim.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if p.Name() != wantNames[i] {
 			t.Errorf("solution %d name = %q, want %q", i, p.Name(), wantNames[i])
 		}

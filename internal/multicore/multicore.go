@@ -172,9 +172,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// NCore returns the number of cores.
-func (s *Server) NCore() int { return s.cfg.NCore }
-
 // CommandFan sets the shared fan command, clamped to the platform range.
 func (s *Server) CommandFan(v units.RPM) {
 	s.fanCmd = units.ClampRPM(v, s.cfg.Base.FanMinSpeed, s.cfg.Base.FanMaxSpeed)

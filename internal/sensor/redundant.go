@@ -324,9 +324,6 @@ func (r *Redundant) ObservePower(w float64) {
 // Health returns the voter's current self-assessment.
 func (r *Redundant) Health() Health { return r.health }
 
-// Sensors returns the replica count.
-func (r *Redundant) Sensors() int { return len(r.chains) }
-
 // FailSafeFrac returns the fraction of samples spent in FailSafe.
 func (r *Redundant) FailSafeFrac() float64 {
 	if r.ticks == 0 {

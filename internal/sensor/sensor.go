@@ -173,37 +173,6 @@ func (g *GaussianNoise) Sample(_ units.Seconds, v float64) float64 {
 // Reset implements Stage: the noise stream restarts from its seed.
 func (g *GaussianNoise) Reset() { g.rng = stats.NewRand(g.seed) }
 
-// SampleHold decimates the signal to one sample per Interval: the output
-// changes only at multiples of the sampling interval (sensor polling
-// period), holding in between.
-type SampleHold struct {
-	Interval units.Seconds
-	lastT    units.Seconds
-	value    float64
-	primed   bool
-}
-
-// NewSampleHold builds a sample-and-hold stage with the given interval.
-func NewSampleHold(interval units.Seconds) (*SampleHold, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("sensor: non-positive sample interval %v", interval)
-	}
-	return &SampleHold{Interval: interval}, nil
-}
-
-// Sample implements Stage.
-func (s *SampleHold) Sample(t units.Seconds, v float64) float64 {
-	if !s.primed || t-s.lastT >= s.Interval-1e-9 {
-		s.value = v
-		s.lastT = t
-		s.primed = true
-	}
-	return s.value
-}
-
-// Reset implements Stage.
-func (s *SampleHold) Reset() { s.primed = false; s.value = 0; s.lastT = 0 }
-
 // Pipeline chains stages in order: physical value in, DTM-visible value
 // out. The paper's chain is noise -> quantizer -> delay.
 type Pipeline struct {

@@ -193,32 +193,6 @@ func TestGaussianNoiseValidation(t *testing.T) {
 	}
 }
 
-func TestSampleHold(t *testing.T) {
-	s, err := NewSampleHold(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Sample(0, 5); got != 5 {
-		t.Errorf("first sample = %v", got)
-	}
-	if got := s.Sample(0.5, 99); got != 5 {
-		t.Errorf("mid-interval sample = %v, want held 5", got)
-	}
-	if got := s.Sample(1.0, 42); got != 42 {
-		t.Errorf("next interval = %v, want 42", got)
-	}
-	s.Reset()
-	if got := s.Sample(1.2, 7); got != 7 {
-		t.Errorf("after reset = %v", got)
-	}
-}
-
-func TestSampleHoldValidation(t *testing.T) {
-	if _, err := NewSampleHold(0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 func TestPipelineComposition(t *testing.T) {
 	q := TableIQuantizer()
 	d, _ := NewDelayLine(2, 0)

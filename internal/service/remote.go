@@ -42,8 +42,6 @@ type RemoteBackend struct {
 	// retries/backoff shape the write-through retry loop.
 	retries int
 	backoff time.Duration
-	// now is the clock (injected by tests).
-	now func() time.Time
 
 	br *breaker
 
@@ -119,9 +117,10 @@ func RemoteSyncWrites(sync bool) RemoteOption {
 	return func(r *RemoteBackend) { r.sync = sync }
 }
 
-// RemoteRetry shapes the write-through retry loop: up to n attempts with
-// exponential backoff from base (jittered). Defaults: 3 attempts, 50ms.
-func RemoteRetry(n int, base time.Duration) RemoteOption {
+// remoteRetry shapes the write-through retry loop (tests): up to n
+// attempts with exponential backoff from base (jittered). Defaults: 3
+// attempts, 50ms.
+func remoteRetry(n int, base time.Duration) RemoteOption {
 	return func(r *RemoteBackend) {
 		if n > 0 {
 			r.retries = n
@@ -132,9 +131,9 @@ func RemoteRetry(n int, base time.Duration) RemoteOption {
 	}
 }
 
-// RemoteBreaker shapes the circuit breaker: trip after threshold
+// remoteBreaker shapes the circuit breaker (tests): trip after threshold
 // consecutive failures, probe again after cooldown. Defaults: 3, 5s.
-func RemoteBreaker(threshold int, cooldown time.Duration) RemoteOption {
+func remoteBreaker(threshold int, cooldown time.Duration) RemoteOption {
 	return func(r *RemoteBackend) {
 		if threshold > 0 {
 			r.br.threshold = threshold
@@ -142,14 +141,6 @@ func RemoteBreaker(threshold int, cooldown time.Duration) RemoteOption {
 		if cooldown > 0 {
 			r.br.cooldown = cooldown
 		}
-	}
-}
-
-// remoteClock injects a fake clock (tests).
-func remoteClock(now func() time.Time) RemoteOption {
-	return func(r *RemoteBackend) {
-		r.now = now
-		r.br.now = now
 	}
 }
 
@@ -163,7 +154,6 @@ func NewRemoteBackend(local Backend, client *Client, opts ...RemoteOption) *Remo
 		timeout: 5 * time.Second,
 		retries: 3,
 		backoff: 50 * time.Millisecond,
-		now:     time.Now,
 		br:      newBreaker(3, 5*time.Second, time.Now),
 	}
 	for _, opt := range opts {
@@ -183,15 +173,17 @@ func (r *RemoteBackend) Name() string {
 	return fmt.Sprintf("tiered(%s -> %s)", r.local.Name(), r.client.Base())
 }
 
-// Close stops the background writer and cancels in-flight remote work.
-// Queued write-throughs not yet attempted are dropped (and counted);
-// the local tier is never touched.
+// Close stops the background writer, cancels in-flight remote work and
+// closes the client's idle connections to the remote. Queued
+// write-throughs not yet attempted are dropped (and counted); the local
+// tier is never touched.
 func (r *RemoteBackend) Close() error {
 	r.cancel()
 	if r.writes != nil {
 		close(r.writes)
 	}
 	r.wg.Wait()
+	r.client.Close()
 	return nil
 }
 
@@ -442,7 +434,7 @@ func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *
 		if attempt < r.retries-1 {
 			// Jitter the backoff off the wall clock's low bits so
 			// synchronized retry storms decorrelate.
-			jitter := time.Duration(r.now().UnixNano()) % (delay/2 + 1)
+			jitter := time.Duration(time.Now().UnixNano()) % (delay/2 + 1)
 			select {
 			case <-time.After(delay + jitter):
 			case <-ctx.Done():
@@ -470,10 +462,6 @@ func (r *RemoteBackend) GC(ctx context.Context, cfg scenario.GCConfig) (scenario
 	}
 	return gcb.GC(ctx, cfg)
 }
-
-// Degraded reports whether the breaker is currently outside the closed
-// state (the daemon is operating local-only).
-func (r *RemoteBackend) Degraded() bool { return r.br.state() != breakerClosed }
 
 // TierStats snapshots the tier counters plus the breaker's state.
 func (r *RemoteBackend) TierStats() TierStats {

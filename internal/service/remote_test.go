@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -174,6 +175,12 @@ func TestLeaderDiesMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Slow simulations keep the follower's connections busy, so the herd's
+	// read-throughs dial more.
+	leader.Queue().run = func(spec scenario.Spec) (*scenario.Outcome, error) {
+		time.Sleep(50 * time.Millisecond)
+		return scenario.Run(spec)
+	}
 	if err := leader.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +264,8 @@ func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 			rb := NewRemoteBackend(NewMemBackend(), NewClient(deadRemote),
 				RemoteSyncWrites(mode.sync),
 				RemoteTimeout(200*time.Millisecond),
-				RemoteRetry(2, time.Millisecond),
-				RemoteBreaker(100, time.Hour)) // keep probing: count real errors
+				remoteRetry(2, time.Millisecond),
+				remoteBreaker(100, time.Hour)) // keep probing: count real errors
 			defer func() {
 				if err := rb.Close(); err != nil {
 					t.Error(err)
@@ -284,6 +291,153 @@ func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWriteThroughRetriesTransient5xx: the write-through retry loop is
+// the tiered backend's only retry. A leader that answers one 503 and
+// then accepts the push costs one remote error and one completed
+// write-through, drops nothing, and leaves the breaker closed.
+func TestWriteThroughRetriesTransient5xx(t *testing.T) {
+	spec := testSpec(74)
+	out, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pushes atomic.Int64
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPut {
+			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		if pushes.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_ = json.NewEncoder(w).Encode(apiError{Error: "transient", Code: CodeInternal})
+			return
+		}
+		_ = json.NewEncoder(w).Encode(JobStatus{State: StateDone})
+	}))
+	defer leader.Close()
+
+	rb := NewRemoteBackend(NewMemBackend(), NewClient(leader.URL),
+		RemoteSyncWrites(true), remoteRetry(3, time.Millisecond))
+	defer func() {
+		if err := rb.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := rb.Put(ctx, spec, out); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	st := rb.TierStats()
+	if st.WriteThroughs != 1 || st.WriteDropped != 0 || st.RemoteErrors != 1 || st.BreakerState != "closed" {
+		t.Errorf("after one 503 then success: write_throughs %d, write_dropped %d, remote_errors %d, breaker %q; want 1, 0, 1, closed",
+			st.WriteThroughs, st.WriteDropped, st.RemoteErrors, st.BreakerState)
+	}
+	if n := pushes.Load(); n != 2 {
+		t.Errorf("leader saw %d pushes, want 2", n)
+	}
+}
+
+// lateDialer connects at once but hands every connection after the
+// first back to the transport only when released: a dial slower than
+// the leader's answers, as across a loaded network.
+type lateDialer struct {
+	dials   atomic.Int64
+	release chan struct{}
+}
+
+func (l *lateDialer) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+	if l.dials.Add(1) > 1 {
+		<-l.release
+	}
+	return conn, err
+}
+
+// TestLeaderStopAfterFollowerHerd: a herd of concurrent submits through
+// a follower makes its client dial a connection per waiting call, and
+// each waiting call is served by the first connection as soon as it
+// frees up. The late dials then park connections that never carry a
+// request, and the leader's shutdown waits on such a connection until
+// it is closed. Stopping the follower closes its client's idle
+// connections, so the leader's Stop returns at once.
+func TestLeaderStopAfterFollowerHerd(t *testing.T) {
+	leader, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Start(); err != nil {
+		t.Fatal(err)
+	}
+	leaderStopped := false
+	defer func() {
+		if !leaderStopped {
+			_ = leader.Stop()
+		}
+	}()
+	// The leader already holds the herd's specs, so each follower submit
+	// is one read-through the leader answers at once.
+	const herd = 8
+	specs := make([]scenario.Spec, herd)
+	lc := NewClient(leader.BaseURL())
+	for i := range specs {
+		specs[i] = testSpec(40 + float64(i)/8)
+		if _, err := lc.Submit(ctx, specs[i], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc.Close()
+
+	follower, err := New(Config{Remote: leader.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := &lateDialer{release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(ld.release)
+		}
+	}()
+	follower.backend.(*RemoteBackend).client.hc.Transport = &http.Transport{DialContext: ld.dial}
+	if err := follower.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fc := NewClient(follower.BaseURL())
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := fc.Submit(ctx, specs[i], true); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	fc.Close()
+	if n := ld.dials.Load(); n < 2 {
+		t.Fatalf("herd dialed %d connections to the leader, want more than 1", n)
+	}
+	close(ld.release)
+	released = true
+	begin := time.Now()
+	if err := follower.Stop(); err != nil {
+		t.Fatalf("stopping follower: %v", err)
+	}
+	if d := time.Since(begin); d >= time.Second {
+		t.Errorf("follower Stop took %v after its client closed, want < 1s", d)
+	}
+
+	begin = time.Now()
+	leaderStopped = true
+	if err := leader.Stop(); err != nil {
+		t.Fatalf("stopping leader: %v", err)
+	}
+	if d := time.Since(begin); d >= time.Second {
+		t.Errorf("leader Stop took %v after a follower herd, want < 1s", d)
 	}
 }
 
@@ -476,51 +630,6 @@ func TestDegradedReadCode(t *testing.T) {
 	}
 }
 
-// TestClientWithRetry: transport-level retries are opt-in, bounded, and
-// only cover retryable outcomes (5xx), never deterministic 4xx.
-func TestClientWithRetry(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusInternalServerError)
-			_ = json.NewEncoder(w).Encode(apiError{Error: "transient", Code: CodeInternal})
-			return
-		}
-		_ = json.NewEncoder(w).Encode(ListResponse{})
-	}))
-	defer srv.Close()
-
-	// Default client: no retries, the first 500 is final.
-	if _, err := NewClient(srv.URL).List(ctx); err == nil {
-		t.Error("default client retried a 500")
-	}
-
-	// Retrying client: two extra attempts clear the two failures.
-	calls.Store(0)
-	c := NewClient(srv.URL, WithRetry(2, time.Millisecond))
-	if _, err := c.List(ctx); err != nil {
-		t.Errorf("retrying client failed: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("retrying client made %d calls, want 3", got)
-	}
-
-	// 4xx is deterministic: one call, no retry budget spent.
-	var gets atomic.Int64
-	srv4 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		w.WriteHeader(http.StatusNotFound)
-		_ = json.NewEncoder(w).Encode(apiError{Error: "nope", Code: CodeNotFound})
-	}))
-	defer srv4.Close()
-	if _, err := NewClient(srv4.URL, WithRetry(3, time.Millisecond)).Get(ctx, "k"); !IsNotFound(err) {
-		t.Errorf("coded 404 -> %v, want not-found", err)
-	}
-	if got := gets.Load(); got != 1 {
-		t.Errorf("404 retried: %d calls, want 1", got)
-	}
-}
-
 // TestPushEndpointValidation: the write-through verb is content
 // addressed — the URL key must match the spec's content key.
 func TestPushEndpointValidation(t *testing.T) {
@@ -658,7 +767,7 @@ func TestPushCannotOverwriteStoredOutcome(t *testing.T) {
 			// A follower holding the forgery locally replicates it into
 			// this daemon: one refused attempt, no breaker failure.
 			rb := NewRemoteBackend(NewMemBackend(), NewClient(d.BaseURL()),
-				RemoteSyncWrites(true), RemoteRetry(3, time.Millisecond))
+				RemoteSyncWrites(true), remoteRetry(3, time.Millisecond))
 			defer func() {
 				if err := rb.Close(); err != nil {
 					t.Error(err)
@@ -863,7 +972,7 @@ func TestCallerGoneIsNotRemoteFailure(t *testing.T) {
 	})
 	defer close(release)
 	rb := NewRemoteBackend(NewMemBackend(), NewClient(leader.BaseURL()),
-		RemoteTimeout(50*time.Millisecond), RemoteBreaker(1, time.Hour))
+		RemoteTimeout(50*time.Millisecond), remoteBreaker(1, time.Hour))
 	defer func() {
 		if err := rb.Close(); err != nil {
 			t.Error(err)

@@ -100,9 +100,6 @@ func NewBatchNetwork(n, b int, ambient units.Celsius) (*BatchNetwork, error) {
 // Size returns the number of nodes per network.
 func (bn *BatchNetwork) Size() int { return bn.n }
 
-// Batch returns the number of servers integrated in lockstep.
-func (bn *BatchNetwork) Batch() int { return bn.b }
-
 // SetCapacitance sets node i's thermal capacitance for every server.
 func (bn *BatchNetwork) SetCapacitance(i int, c units.JPerK) error {
 	if c <= 0 {
@@ -157,9 +154,6 @@ func (bn *BatchNetwork) Temperature(i, s int) units.Celsius {
 func (bn *BatchNetwork) SetTemperature(i, s int, t units.Celsius) {
 	bn.temps[i*bn.b+s] = float64(t)
 }
-
-// Ambient returns server s's ambient temperature.
-func (bn *BatchNetwork) Ambient(s int) units.Celsius { return units.Celsius(bn.ambient[s]) }
 
 // SetAmbient changes server s's ambient temperature (fleet inlet fields
 // give every server its own).

@@ -278,18 +278,6 @@ func (net *Network) Step(dt units.Seconds) error {
 	return nil
 }
 
-// minTimeConstant returns the smallest C_i / G_i over nodes with any
-// conductance, used to pick the RK4 substep.
-func (net *Network) minTimeConstant() float64 {
-	if net.csrDirty {
-		net.compile()
-	}
-	if net.tauDirty {
-		net.refreshTau()
-	}
-	return net.tauMin
-}
-
 // SteadyState solves the linear steady-state system (dT/dt = 0) by
 // Gauss-Seidel iteration and returns the node temperatures. It errors when
 // iteration fails to converge, which indicates a node with no path to

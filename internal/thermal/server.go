@@ -68,9 +68,6 @@ func NewServer(params ServerParams) (*Server, error) {
 	}, nil
 }
 
-// Params returns the model parameters.
-func (s *Server) Params() ServerParams { return s.params }
-
 // Sink returns the current heat-sink temperature T_hs.
 func (s *Server) Sink() units.Celsius { return s.sink.Temperature() }
 

@@ -111,22 +111,3 @@ func TestPlotFixedYRange(t *testing.T) {
 		t.Errorf("fixed range labels missing:\n%s", out)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 1, 2, 3}, []float64{0, 1, 2, 3})
-	sp := Sparkline(s, 8)
-	if len([]rune(sp)) != 8 {
-		t.Errorf("sparkline width = %d, want 8", len([]rune(sp)))
-	}
-	if Sparkline(NewSeries("e"), 8) != "" {
-		t.Error("empty sparkline not empty")
-	}
-	if Sparkline(s, 0) != "" {
-		t.Error("zero-width sparkline not empty")
-	}
-	// Constant series renders at the lowest level without panicking.
-	c, _ := FromSlices("c", []float64{0, 1}, []float64{5, 5})
-	if got := Sparkline(c, 4); len([]rune(got)) != 4 {
-		t.Errorf("constant sparkline = %q", got)
-	}
-}

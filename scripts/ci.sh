@@ -200,7 +200,7 @@ wait "$follower_pid"
 grep -q "clean shutdown" "$tier_dir/follower.log"
 
 # Perf-trajectory gate: fresh trajectory numbers against the committed
-# BENCH_PR16.json baseline via benchjson -compare (the gate ratchets: each PR
+# BENCH_PR17.json baseline via benchjson -compare (the gate ratchets: each PR
 # appends BENCH_PR<n>.json and the next gates against it). Each benchmark
 # runs five times (-count 5) and benchjson compares the median of the
 # five: on a shared 2-core machine one sample of an unchanged hot
@@ -210,4 +210,4 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # — which are deterministic — are judged by the same factor against
 # integer counts, so any alloc creep on a 0-alloc path fails regardless.
 go test -run xxx -bench 'BenchmarkNetworkStep$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit' -benchtime 0.5s -count 5 -benchmem . > "$run_dir/bench.out"
-go run ./cmd/benchjson -compare BENCH_PR16.json -threshold 0.60 < "$run_dir/bench.out"
+go run ./cmd/benchjson -compare BENCH_PR17.json -threshold 0.60 < "$run_dir/bench.out"
